@@ -15,8 +15,9 @@
 //                [--log-level LEVEL] [--log-out FILE]
 //
 // --distance-engine picks the Phase 3 shortest-distance backend: plain
-// Dijkstra, ALT (landmark A*, implies --landmarks), or a contraction
-// hierarchy with memoized upward labels (fastest; exact in all cases).
+// Dijkstra, ALT (Dijkstra with landmark A*, same as --landmarks with the
+// default count), or a contraction hierarchy with memoized upward labels
+// (fastest; exact in all cases).
 //
 // --columnar treats --trajectories as a binary columnar file (written by
 // neat_convert or sim::generate_columnar_stream) and runs Phase 1
@@ -150,11 +151,17 @@ CliOptions parse_args(int argc, char** argv) {
         opt.config.refine.num_landmarks = static_cast<int>(n);
       } else if (arg == "--distance-engine") {
         const std::string v = next_value(i);
-        if (v == "dijkstra") opt.config.refine.distance_engine = DistanceEngine::kDijkstra;
-        else if (v == "alt") opt.config.refine.distance_engine = DistanceEngine::kAlt;
-        else if (v == "ch") opt.config.refine.distance_engine = DistanceEngine::kCh;
-        else if (v == "ch-table") opt.config.refine.distance_engine = DistanceEngine::kChTable;
-        else usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch|ch-table)"));
+        if (v == "dijkstra" || v == "alt") {
+          opt.config.refine.distance_engine = DistanceEngine::kDijkstra;
+          // ALT is the Dijkstra rung with landmark tables steering it.
+          if (v == "alt") opt.config.refine.use_landmarks = true;
+        } else if (v == "ch") {
+          opt.config.refine.distance_engine = DistanceEngine::kCh;
+        } else if (v == "ch-table") {
+          opt.config.refine.distance_engine = DistanceEngine::kChTable;
+        } else {
+          usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch|ch-table)"));
+        }
       } else if (arg == "--metrics-out") {
         opt.metrics_out = next_value(i);
       } else if (arg == "--trace-out") {

@@ -61,7 +61,7 @@ struct SimOptions {
   std::string profile_out;   ///< Folded CPU profile file ("" = profiler off).
   std::string log_out;       ///< JSON log lines file ("" = stderr).
   obs::log::Level log_level{obs::log::Level::kInfo};
-  DistanceEngine engine{DistanceEngine::kDijkstra};
+  RefineConfig refine;       ///< --distance-engine choice (engine, landmarks).
 };
 
 [[noreturn]] void usage(const std::string& error) {
@@ -138,11 +138,17 @@ SimOptions parse_args(int argc, char** argv) {
         opt.slow_ms = static_cast<int>(ms);
       } else if (arg == "--distance-engine") {
         const std::string v = next_value(i);
-        if (v == "dijkstra") opt.engine = DistanceEngine::kDijkstra;
-        else if (v == "alt") opt.engine = DistanceEngine::kAlt;
-        else if (v == "ch") opt.engine = DistanceEngine::kCh;
-        else if (v == "ch-table") opt.engine = DistanceEngine::kChTable;
-        else usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch|ch-table)"));
+        if (v == "dijkstra" || v == "alt") {
+          opt.refine.distance_engine = DistanceEngine::kDijkstra;
+          // ALT is the Dijkstra rung with landmark tables steering it.
+          if (v == "alt") opt.refine.use_landmarks = true;
+        } else if (v == "ch") {
+          opt.refine.distance_engine = DistanceEngine::kCh;
+        } else if (v == "ch-table") {
+          opt.refine.distance_engine = DistanceEngine::kChTable;
+        } else {
+          usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch|ch-table)"));
+        }
       } else {
         usage(str_cat("unknown argument '", arg, "'"));
       }
@@ -178,8 +184,8 @@ int main(int argc, char** argv) {
   // The serve metrics share the global registry with the pipeline's own
   // neat_core_* metrics, so one /metrics scrape sees the whole process.
   Config cfg;
+  cfg.refine = opt.refine;
   cfg.refine.epsilon = 2000.0;
-  cfg.refine.distance_engine = opt.engine;
   cfg.phase1_threads = 2;
   serve::SnapshotStore store;
   serve::Metrics metrics(&obs::Registry::global());
@@ -225,7 +231,7 @@ int main(int argc, char** argv) {
   std::unique_ptr<net::HttpServer> query_server;
   if (opt.query_port >= 0) {
     std::shared_ptr<const roadnet::ChEngine> ch;
-    if (opt.engine == DistanceEngine::kCh) {
+    if (opt.refine.distance_engine == DistanceEngine::kCh) {
       roadnet::ChOptions copts;
       copts.directed = true;
       copts.metric = roadnet::Metric::kDistance;
@@ -264,7 +270,7 @@ int main(int argc, char** argv) {
     NEAT_LOG(kWarn, "sim").msg("profiler busy, running without --profile-out");
   }
   sim::SimConfig sim_cfg = sim::default_config(net, 2, 3);
-  sim_cfg.use_ch_routing = opt.engine == DistanceEngine::kCh;
+  sim_cfg.use_ch_routing = opt.refine.distance_engine == DistanceEngine::kCh;
   const sim::MobilitySimulator simulator(net, sim_cfg);
   constexpr std::size_t kBatches = 3;
   constexpr std::size_t kTripsPerBatch = 100;

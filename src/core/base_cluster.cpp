@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
+#include "core/netflow.h"
 
 namespace neat {
 
@@ -11,9 +12,19 @@ void BaseCluster::add(const TFragment& fragment) {
   NEAT_EXPECT(fragment.sid == sid_,
               str_cat("fragment on segment ", fragment.sid.value(),
                       " added to base cluster of segment ", sid_.value()));
-  fragments_.push_back(fragment);
+  ++density_;
   participants_.push_back(fragment.trid);
   finalized_ = false;
+}
+
+void BaseCluster::merge(const BaseCluster& other) {
+  NEAT_EXPECT(other.sid_ == sid_,
+              str_cat("base cluster of segment ", other.sid_.value(),
+                      " merged into base cluster of segment ", sid_.value()));
+  NEAT_EXPECT(finalized_ && other.finalized_,
+              "BaseCluster::merge() needs both clusters finalized");
+  density_ += other.density_;
+  participants_ = merge_participants(participants_, other.participants_);
 }
 
 void BaseCluster::finalize() {
@@ -30,6 +41,13 @@ const std::vector<TrajectoryId>& BaseCluster::participants() const {
 
 int BaseCluster::cardinality() const {
   return static_cast<int>(participants().size());
+}
+
+void sort_by_density(std::vector<BaseCluster>& clusters) {
+  std::sort(clusters.begin(), clusters.end(), [](const BaseCluster& a, const BaseCluster& b) {
+    if (a.density() != b.density()) return a.density() > b.density();
+    return a.sid() < b.sid();
+  });
 }
 
 }  // namespace neat

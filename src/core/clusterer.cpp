@@ -1,7 +1,6 @@
 #include "core/clusterer.h"
 
 #include "common/stopwatch.h"
-#include "core/parallel_refiner.h"
 #include "obs/log/log.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -35,9 +34,9 @@ Result NeatClusterer::run(const traj::TrajectoryDataset& data) const {
   });
 }
 
-Result NeatClusterer::run(TrajectorySource& source, const StreamingPhase1Options& options) const {
+Result NeatClusterer::run(TrajectorySource& source) const {
   return run_impl(source.size(), [&](const Fragmenter& fragmenter) {
-    return fragmenter.build_base_clusters(source, config_.phase1_threads, options);
+    return fragmenter.build_base_clusters(source, config_.phase1_threads);
   });
 }
 
@@ -95,13 +94,13 @@ Result NeatClusterer::run_impl(
   if (config_.mode == Mode::kFlow) return result;
 
   // Phase 3: flow cluster refinement (parallel across RefineConfig::threads;
-  // output is bit-identical to the serial refiner).
+  // output is identical at any thread count).
   watch.restart();
   NEAT_LOG(kDebug, "core").msg("phase 3 starting")
       .kv("flows", result.flow_clusters.size());
   {
     obs::ScopedSpan span("neat.phase3");
-    const ParallelRefiner refiner(net_, config_.refine);
+    const Refiner refiner(net_, config_.refine);
     Phase3Output p3 = refiner.refine(result.flow_clusters);
     result.final_clusters = std::move(p3.clusters);
     result.sp_computations = p3.sp_computations;

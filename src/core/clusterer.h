@@ -82,10 +82,9 @@ class NeatClusterer {
   [[nodiscard]] Result run(const traj::TrajectoryDataset& data) const;
 
   /// Out-of-core variant: Phase 1 streams `source` in bounded-memory
-  /// batches (see Fragmenter); Phases 2-3 run on the merged base clusters.
+  /// batches (see Fragmenter); Phases 2-3 run on its base clusters.
   /// Results are bit-identical to run() on the materialized dataset.
-  [[nodiscard]] Result run(TrajectorySource& source,
-                           const StreamingPhase1Options& options = {}) const;
+  [[nodiscard]] Result run(TrajectorySource& source) const;
 
   [[nodiscard]] const Config& config() const { return config_; }
 

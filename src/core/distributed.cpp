@@ -3,12 +3,9 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "core/parallel_refiner.h"
 
 namespace neat {
 
@@ -46,16 +43,11 @@ Phase1Output merge_phase1_outputs(std::vector<Phase1Output> shards) {
       if (inserted) {
         clusters.push_back(std::move(c));
       } else {
-        BaseCluster& target = clusters[it->second];
-        for (const TFragment& f : c.fragments()) target.add(f);
+        clusters[it->second].merge(c);
       }
     }
   }
-  for (BaseCluster& c : clusters) c.finalize();
-  std::sort(clusters.begin(), clusters.end(), [](const BaseCluster& a, const BaseCluster& b) {
-    if (a.density() != b.density()) return a.density() > b.density();
-    return a.sid() < b.sid();
-  });
+  sort_by_density(clusters);
   merged.base_clusters = std::move(clusters);
   return merged;
 }
@@ -93,7 +85,7 @@ Result run_sharded(const roadnet::RoadNetwork& net,
   if (config.mode == Mode::kFlow) return result;
 
   watch.restart();
-  Phase3Output p3 = ParallelRefiner(net, config.refine).refine(result.flow_clusters);
+  Phase3Output p3 = Refiner(net, config.refine).refine(result.flow_clusters);
   result.final_clusters = std::move(p3.clusters);
   result.sp_computations = p3.sp_computations;
   result.elb_pruned_pairs = p3.elb_pruned_pairs;

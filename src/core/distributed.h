@@ -8,8 +8,8 @@
 // magnitude smaller than raw trajectories. The coordinator merges the
 // shard outputs (base clusters keyed by segment) and runs Phases 2-3.
 //
-// merge_phase1_outputs is exact: merging shard outputs of a contiguous
-// dataset partition reproduces the monolithic Phase 1 output bit for bit.
+// merge_phase1_outputs is exact: merging the shard outputs of a dataset
+// partition reproduces the monolithic Phase 1 output bit for bit.
 #pragma once
 
 #include <vector>
@@ -22,13 +22,13 @@
 namespace neat {
 
 /// Merges per-shard Phase 1 outputs into one, combining base clusters of
-/// the same segment and re-sorting by (density desc, sid asc). Fragments of
-/// a shared segment are concatenated in shard order, so passing shards that
-/// partition a dataset contiguously reproduces the monolithic output
-/// exactly. Trajectory ids must not repeat across shards — a duplicate
-/// would silently deflate trajectory cardinalities (two shards' fragments
-/// of "different" trajectories collapsing into one participant), so the
-/// merge checks and throws neat::PreconditionError naming the offending id.
+/// the same segment (densities add up, participant lists unite) and
+/// re-sorting by (density desc, sid asc), so shards that partition a
+/// dataset reproduce the monolithic output exactly. Trajectory ids must not
+/// repeat across shards — a duplicate would silently deflate trajectory
+/// cardinalities (two shards' "different" trajectories collapsing into one
+/// participant), so the merge checks and throws neat::PreconditionError
+/// naming the offending id.
 [[nodiscard]] Phase1Output merge_phase1_outputs(std::vector<Phase1Output> shards);
 
 /// Runs the full sharded pipeline: Phase 1 per shard (sequentially here —

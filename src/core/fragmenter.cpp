@@ -1,15 +1,13 @@
 #include "core/fragmenter.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
 #include <optional>
-#include <thread>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "common/error.h"
+#include "common/parallel_for.h"
 #include "common/string_util.h"
-#include "core/distributed.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "roadnet/shortest_path.h"
@@ -216,35 +214,6 @@ void walk(const RoadNetwork& net, const traj::Trajectory& tr,
   if (fragments != nullptr) fragments->push_back(cur);
 }
 
-/// Phase 1 step 2: groups fragments (iterated in dataset order) into
-/// finalized base clusters sorted by (density desc, sid asc), accumulating
-/// the fragment count into `out`. Shared by the in-memory and streaming
-/// builds — per-batch grouping followed by the exact merge reproduces this
-/// function applied to the whole dataset.
-void group_and_sort(const std::vector<std::vector<TFragment>>& per_trajectory,
-                    std::size_t segment_count, Phase1Output& out) {
-  std::vector<std::int32_t> cluster_of(segment_count, -1);
-  std::vector<BaseCluster> clusters;
-  for (const std::vector<TFragment>& fragments : per_trajectory) {
-    for (const TFragment& f : fragments) {
-      auto& slot = cluster_of[static_cast<std::size_t>(f.sid.value())];
-      if (slot < 0) {
-        slot = static_cast<std::int32_t>(clusters.size());
-        clusters.emplace_back(f.sid);
-      }
-      clusters[static_cast<std::size_t>(slot)].add(f);
-      ++out.num_fragments;
-    }
-  }
-  for (BaseCluster& c : clusters) c.finalize();
-
-  std::sort(clusters.begin(), clusters.end(), [](const BaseCluster& a, const BaseCluster& b) {
-    if (a.density() != b.density()) return a.density() > b.density();
-    return a.sid() < b.sid();
-  });
-  out.base_clusters = std::move(clusters);
-}
-
 /// Bulk registry update once per build, so per-fragment loops stay free of
 /// shared atomics.
 void record_phase1_counters(std::size_t trajectories, const Phase1Output& out) {
@@ -253,6 +222,71 @@ void record_phase1_counters(std::size_t trajectories, const Phase1Output& out) {
   reg.counter("neat_core_fragments_total").add(out.num_fragments);
   reg.counter("neat_core_gap_repairs_total").add(out.num_gap_repairs);
   reg.counter("neat_core_base_clusters_total").add(out.base_clusters.size());
+}
+
+/// The one Phase 1 body behind both build_base_clusters overloads.
+/// `trajectory_at(i)` yields trajectory i (a reference into a dataset, or a
+/// trajectory materialized by a source); `batch_done(begin, end)` runs after
+/// each batch. Each batch is fragmented across the workers into per-index
+/// slots, then folded serially in dataset order into one running table of
+/// base clusters, so the output does not depend on the thread count.
+template <typename TrajectoryAt, typename BatchDone>
+Phase1Output build_phase1(const Fragmenter& fragmenter, std::size_t segment_count,
+                          std::size_t total, unsigned n_threads,
+                          const TrajectoryAt& trajectory_at, const BatchDone& batch_done) {
+  obs::ScopedSpan span("phase1.build_base_clusters");
+  Phase1Output out;
+  std::vector<std::int32_t> cluster_of(segment_count, -1);  // segment -> table slot
+  std::vector<BaseCluster> clusters;
+  std::unordered_set<TrajectoryId> seen_ids;
+  seen_ids.reserve(total);
+
+  const std::size_t batch_capacity = std::min(total, Fragmenter::kBatchSize);
+  std::vector<TrajectoryId> ids(batch_capacity);
+  std::vector<std::vector<TFragment>> fragments(batch_capacity);
+  std::vector<std::size_t> gap_repairs(parallel_workers(batch_capacity, n_threads), 0);
+  std::size_t batches = 0;
+  for (std::size_t begin = 0; begin < total; begin += Fragmenter::kBatchSize, ++batches) {
+    const std::size_t count = std::min(Fragmenter::kBatchSize, total - begin);
+    parallel_for(count, n_threads, 1, [&](unsigned worker, ChunkCursor& cursor) {
+      while (const std::optional<IndexRange> chunk = cursor.next()) {
+        for (std::size_t k = chunk->begin; k < chunk->end; ++k) {
+          const traj::Trajectory& tr = trajectory_at(begin + k);
+          ids[k] = tr.id();
+          fragments[k] = fragmenter.fragment(tr, &gap_repairs[worker]);
+        }
+      }
+    });
+    for (std::size_t k = 0; k < count; ++k) {
+      NEAT_EXPECT(seen_ids.insert(ids[k]).second,
+                  str_cat("trajectory id ", ids[k].value(), " repeats (at index ", begin + k,
+                          "); trajectory ids must be unique"));
+      for (const TFragment& f : fragments[k]) {
+        std::int32_t& slot = cluster_of[static_cast<std::size_t>(f.sid.value())];
+        if (slot < 0) {
+          slot = static_cast<std::int32_t>(clusters.size());
+          clusters.emplace_back(f.sid);
+        }
+        clusters[static_cast<std::size_t>(slot)].add(f);
+      }
+      out.num_fragments += fragments[k].size();
+      fragments[k] = {};  // hold no more than the batch being folded
+    }
+    batch_done(begin, begin + count);
+  }
+
+  for (BaseCluster& c : clusters) c.finalize();
+  sort_by_density(clusters);
+  out.base_clusters = std::move(clusters);
+  for (const std::size_t g : gap_repairs) out.num_gap_repairs += g;
+
+  record_phase1_counters(total, out);
+  span.arg("trajectories", static_cast<std::uint64_t>(total));
+  span.arg("fragments", static_cast<std::uint64_t>(out.num_fragments));
+  span.arg("gap_repairs", static_cast<std::uint64_t>(out.num_gap_repairs));
+  span.arg("batches", static_cast<std::uint64_t>(batches));
+  span.arg("threads", static_cast<std::uint64_t>(parallel_workers(batch_capacity, n_threads)));
+  return out;
 }
 
 }  // namespace
@@ -276,99 +310,17 @@ traj::Trajectory Fragmenter::augmented(const traj::Trajectory& tr) const {
 
 Phase1Output Fragmenter::build_base_clusters(const traj::TrajectoryDataset& data,
                                              unsigned n_threads) const {
-  obs::ScopedSpan span("phase1.build_base_clusters");
-  Phase1Output out;
-
-  // Fragment extraction, optionally parallel over trajectories. Results are
-  // stored per trajectory index and merged in dataset order, so the output
-  // is identical regardless of the thread count.
-  std::vector<std::vector<TFragment>> per_trajectory(data.size());
-  const unsigned workers =
-      std::min<unsigned>(std::max(1u, n_threads), std::max<std::size_t>(1, data.size()));
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < data.size(); ++i) {
-      per_trajectory[i] = fragment(data[i], &out.num_gap_repairs);
-    }
-  } else {
-    std::vector<std::size_t> gap_counts(workers, 0);
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    std::atomic<std::size_t> next{0};
-    for (unsigned w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        for (std::size_t i = next.fetch_add(1); i < data.size(); i = next.fetch_add(1)) {
-          per_trajectory[i] = fragment(data[i], &gap_counts[w]);
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    for (const std::size_t g : gap_counts) out.num_gap_repairs += g;
-  }
-
-  // Grouping (serial; it is a tiny fraction of Phase 1).
-  group_and_sort(per_trajectory, net_.segment_count(), out);
-
-  record_phase1_counters(data.size(), out);
-  span.arg("trajectories", static_cast<std::uint64_t>(data.size()));
-  span.arg("fragments", static_cast<std::uint64_t>(out.num_fragments));
-  span.arg("gap_repairs", static_cast<std::uint64_t>(out.num_gap_repairs));
-  span.arg("threads", static_cast<std::uint64_t>(workers));
-  return out;
+  return build_phase1(
+      *this, net_.segment_count(), data.size(), n_threads,
+      [&](std::size_t i) -> const traj::Trajectory& { return data[i]; },
+      [](std::size_t, std::size_t) {});
 }
 
-Phase1Output Fragmenter::build_base_clusters(TrajectorySource& source, unsigned n_threads,
-                                             const StreamingPhase1Options& options) const {
-  obs::ScopedSpan span("phase1.build_base_clusters");
-  const std::size_t total = source.size();
-  const std::size_t batch_size = std::max<std::size_t>(1, options.batch_size);
-
-  // One Phase1Output per batch, merged at the end with the exact
-  // distributed merge: fragments of a shared segment are concatenated in
-  // batch (= dataset) order, so the result is bit-identical to the
-  // in-memory build regardless of batch size and thread count.
-  std::vector<Phase1Output> batches;
-  batches.reserve((total + batch_size - 1) / batch_size);
-  std::vector<std::vector<TFragment>> per_trajectory;
-  std::size_t num_batches = 0;
-  for (std::size_t begin = 0; begin < total; begin += batch_size) {
-    const std::size_t end = std::min(total, begin + batch_size);
-    per_trajectory.assign(end - begin, {});
-    Phase1Output batch;
-    const unsigned workers =
-        std::min<unsigned>(std::max(1u, n_threads), static_cast<unsigned>(end - begin));
-    if (workers <= 1) {
-      for (std::size_t i = begin; i < end; ++i) {
-        per_trajectory[i - begin] = fragment(source.at(i), &batch.num_gap_repairs);
-      }
-    } else {
-      std::vector<std::size_t> gap_counts(workers, 0);
-      std::vector<std::thread> threads;
-      threads.reserve(workers);
-      std::atomic<std::size_t> next{begin};
-      for (unsigned w = 0; w < workers; ++w) {
-        threads.emplace_back([&, w] {
-          for (std::size_t i = next.fetch_add(1); i < end; i = next.fetch_add(1)) {
-            per_trajectory[i - begin] = fragment(source.at(i), &gap_counts[w]);
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      for (const std::size_t g : gap_counts) batch.num_gap_repairs += g;
-    }
-    group_and_sort(per_trajectory, net_.segment_count(), batch);
-    batches.push_back(std::move(batch));
-    ++num_batches;
-    source.batch_done(begin, end);
-  }
-
-  Phase1Output out = merge_phase1_outputs(std::move(batches));
-  record_phase1_counters(total, out);
-  span.arg("trajectories", static_cast<std::uint64_t>(total));
-  span.arg("fragments", static_cast<std::uint64_t>(out.num_fragments));
-  span.arg("gap_repairs", static_cast<std::uint64_t>(out.num_gap_repairs));
-  span.arg("batches", static_cast<std::uint64_t>(num_batches));
-  span.arg("threads", static_cast<std::uint64_t>(std::max(1u, n_threads)));
-  return out;
+Phase1Output Fragmenter::build_base_clusters(TrajectorySource& source, unsigned n_threads) const {
+  return build_phase1(
+      *this, net_.segment_count(), source.size(), n_threads,
+      [&](std::size_t i) { return source.at(i); },
+      [&](std::size_t begin, std::size_t end) { source.batch_done(begin, end); });
 }
 
 }  // namespace neat

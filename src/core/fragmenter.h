@@ -8,7 +8,7 @@
 // search, mirroring the paper's map-matching-based gap repair, and a
 // zero-sample fragment is emitted for every intermediate segment.
 //
-// Step 2: fragments are grouped by segment id into base clusters, which are
+// Step 2: fragments are counted by segment id into base clusters, which are
 // returned sorted by density (descending) so the first element is the
 // dense-core the Phase 2 merge starts from.
 #pragma once
@@ -44,13 +44,6 @@ class TrajectorySource {
   virtual void batch_done(std::size_t begin, std::size_t end);
 };
 
-/// Tuning of the streaming (out-of-core) Phase 1 overload.
-struct StreamingPhase1Options {
-  /// Trajectories materialized per batch; bounds peak memory. Values of 0
-  /// are treated as 1.
-  std::size_t batch_size{4096};
-};
-
 /// Result of Phase 1 over a dataset.
 struct Phase1Output {
   /// Base clusters sorted by (density desc, sid asc); index 0 is the
@@ -67,7 +60,7 @@ class Fragmenter {
   explicit Fragmenter(const roadnet::RoadNetwork& net);
 
   /// Partitions one trajectory into its t-fragment sequence (travel order).
-  /// Throws neat::PreconditionError when a sample references a segment that
+  /// Throws neat::NotFoundError when a sample references a segment that
   /// does not exist. `gap_repairs` (optional) is incremented per repaired
   /// non-contiguous sample pair.
   [[nodiscard]] std::vector<TFragment> fragment(const traj::Trajectory& tr,
@@ -80,21 +73,25 @@ class Fragmenter {
 
   /// Runs both Phase 1 steps over a dataset. `n_threads` > 1 fragments
   /// trajectories concurrently (trajectories are independent; the network
-  /// is read-only) and merges per-trajectory results in dataset order, so
-  /// the output is bit-identical to the serial run. Values of 0 and 1 both
-  /// mean serial.
+  /// is read-only); values of 0 and 1 both mean serial. Fragments are
+  /// counted into base clusters in dataset order, so the output is
+  /// identical at any thread count. Throws neat::PreconditionError naming a
+  /// trajectory id that repeats, and rethrows what fragment() throws.
   [[nodiscard]] Phase1Output build_base_clusters(const traj::TrajectoryDataset& data,
                                                  unsigned n_threads = 1) const;
 
-  /// Out-of-core Phase 1: walks `source` in batches of
-  /// `options.batch_size` trajectories (each batch fragmented across
-  /// `n_threads` workers, grouped serially) and merges the per-batch
-  /// outputs with the exact distributed merge, so the result is
-  /// bit-identical to the in-memory overload at any batch size and thread
-  /// count while peak memory stays bounded by one batch.
+  /// Out-of-core Phase 1: the same build, walking `source` in batches of
+  /// kBatchSize trajectories and calling source.batch_done() after each,
+  /// so only one batch of trajectories and fragments is held at a time.
+  /// The output is identical to the dataset overload's on the same
+  /// trajectories at any thread count.
   [[nodiscard]] Phase1Output build_base_clusters(TrajectorySource& source,
-                                                 unsigned n_threads = 1,
-                                                 const StreamingPhase1Options& options = {}) const;
+                                                 unsigned n_threads = 1) const;
+
+  /// Trajectories fragmented per batch by build_base_clusters: bounds the
+  /// fragments held at once, and keeps each batch large enough to share
+  /// across many workers.
+  static constexpr std::size_t kBatchSize = 4096;
 
  private:
   const roadnet::RoadNetwork& net_;

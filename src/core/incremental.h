@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/clusterer.h"
-#include "core/parallel_refiner.h"
 
 namespace neat {
 
@@ -65,7 +64,7 @@ class IncrementalClusterer {
   Config config_;
   IncrementalOptions options_;
   /// Persistent so landmark tables survive across batches.
-  ParallelRefiner refiner_;
+  Refiner refiner_;
   std::vector<FlowCluster> flows_;
   std::vector<std::size_t> flow_batch_;  ///< Arrival batch index per flow.
   std::vector<FinalCluster> clusters_;

@@ -1,41 +1,12 @@
-// Multi-threaded Phase 3 refinement.
-//
-// The refiner's DBSCAN queries the ε-neighborhood of every flow exactly once,
-// so the full condensed pair-distance matrix is needed no matter how the
-// merge unfolds. That makes the expensive part — C(n,2) network Hausdorff
-// evaluations, each a handful of bounded Dijkstra/A* runs — embarrassingly
-// parallel: workers claim chunks of the condensed index space, write disjoint
-// matrix slots, and keep private oracles and counters. The merge itself runs
-// serially on the finished matrix, so the output (clusters AND counters) is
-// bit-identical to Refiner::refine() for every thread count.
+// Former name of the Phase 3 refiner. Refiner::refine itself spreads the
+// pair-distance evaluation across RefineConfig::threads workers; this alias
+// keeps code written against the old name compiling.
 #pragma once
-
-#include <cstddef>
-#include <vector>
 
 #include "core/refiner.h"
 
 namespace neat {
 
-/// Runs Phase 3 with the pairwise-distance evaluation spread across
-/// RefineConfig::threads worker threads. threads <= 1 delegates to the serial
-/// path. Landmark tables (when enabled) are built once up front and shared
-/// read-only by all workers.
-class ParallelRefiner {
- public:
-  /// Same contract as Refiner's constructor; keeps a reference to the network.
-  ParallelRefiner(const roadnet::RoadNetwork& net, RefineConfig config);
-
-  /// Deterministic: identical output to Refiner::refine() for any thread
-  /// count, including the instrumentation counters.
-  [[nodiscard]] Phase3Output refine(const std::vector<FlowCluster>& flows) const;
-
-  /// The underlying serial refiner (shared landmark state, test hooks).
-  [[nodiscard]] const Refiner& refiner() const { return refiner_; }
-  [[nodiscard]] Refiner& refiner() { return refiner_; }
-
- private:
-  Refiner refiner_;
-};
+using ParallelRefiner = Refiner;
 
 }  // namespace neat

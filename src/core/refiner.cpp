@@ -6,6 +6,8 @@
 #include <limits>
 
 #include "common/error.h"
+#include "common/parallel_for.h"
+#include "common/string_util.h"
 #include "core/netflow.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -14,11 +16,11 @@
 namespace neat {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}  // namespace
 
-namespace detail {
-
+/// Adds one Phase-3 run's work counters to the global metric registry —
+/// one bulk update so the per-pair hot loop never touches shared atomics.
 void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs,
                         bool landmarks_enabled) {
   obs::Registry& reg = obs::Registry::global();
@@ -37,7 +39,16 @@ void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs,
   }
 }
 
-}  // namespace detail
+/// Sums the work counters of `from` into `into` (clusters untouched).
+void add_counters(Phase3Output& into, const Phase3Output& from) {
+  into.sp_computations += from.sp_computations;
+  into.elb_pruned_pairs += from.elb_pruned_pairs;
+  into.lm_pruned_pairs += from.lm_pruned_pairs;
+  into.pairs_evaluated += from.pairs_evaluated;
+  into.settled_nodes += from.settled_nodes;
+}
+
+}  // namespace
 
 double hausdorff_from_parts(double d11, double d12, double d21, double d22) {
   // Eq. 5: max over each endpoint of one route of its distance to the
@@ -51,13 +62,6 @@ Refiner::Refiner(const roadnet::RoadNetwork& net, RefineConfig config)
     : net_(net), config_(config) {
   NEAT_EXPECT(config_.epsilon > 0.0, "RefineConfig: epsilon must be positive");
   NEAT_EXPECT(config_.min_pts >= 1, "RefineConfig: min_pts must be at least 1");
-  // Normalize the legacy landmark flag against the engine choice: the old
-  // use_landmarks spelling selects the ALT rung, and the ALT rung implies
-  // the landmark tables it runs on.
-  if (config_.use_landmarks && config_.distance_engine == DistanceEngine::kDijkstra) {
-    config_.distance_engine = DistanceEngine::kAlt;
-  }
-  if (config_.distance_engine == DistanceEngine::kAlt) config_.use_landmarks = true;
   NEAT_EXPECT(!config_.use_landmarks || config_.num_landmarks >= 1,
               "RefineConfig: num_landmarks must be at least 1 when landmarks are enabled");
 }
@@ -425,21 +429,48 @@ Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
 
   // The DBSCAN below queries the ε-neighborhood of every flow exactly once,
   // so every unordered pair is needed regardless of how the merge unfolds.
-  // Evaluating the full condensed matrix up front keeps the serial and
-  // parallel refiners on one code path with bit-identical results.
-  Phase3Output counters;
-  DistanceContext ctx = make_context();
+  // Evaluating the full condensed matrix up front lets workers claim
+  // disjoint kPairChunk chunks of it with private contexts and counters.
   std::vector<double> pair_dist(n * (n - 1) / 2);
+  const unsigned workers = parallel_workers(pair_dist.size(), config_.threads);
+  std::vector<Phase3Output> worker_counters(workers);
+  Phase3Output counters;
   {
     obs::ScopedSpan pairs_span("phase3.pair_distances");
-    // Same kPairChunk walk the parallel workers claim, so chunk-dependent
-    // work (the kChTable batching) and every deterministic counter match
-    // ParallelRefiner bit for bit.
-    for (std::size_t begin = 0; begin < pair_dist.size(); begin += kPairChunk) {
-      fill_pair_distances(flows, begin, std::min(begin + kPairChunk, pair_dist.size()),
-                          ctx, pair_dist, counters);
+    if (!pair_dist.empty()) {
+      // Build the shared accelerators before the workers start; workers
+      // only read them.
+      static_cast<void>(landmark_oracle());
+      static_cast<void>(ch_engine());
     }
+    const auto worker = [&](unsigned w, ChunkCursor& cursor) {
+      if (workers > 1) obs::Tracer::global().set_thread_name(str_cat("refine-worker-", w));
+      // One span per worker: the trace shows every worker's lifetime side
+      // by side, with its share of the prune/search work as args.
+      obs::ScopedSpan worker_span("phase3.worker");
+      worker_span.arg("worker", static_cast<std::uint64_t>(w));
+      DistanceContext ctx = make_context();
+      // Stack-local counters avoid false sharing between the workers'
+      // slots; stored once at worker end.
+      Phase3Output local;
+      std::size_t claimed = 0;
+      while (const std::optional<IndexRange> chunk = cursor.next()) {
+        claimed += chunk->end - chunk->begin;
+        fill_pair_distances(flows, chunk->begin, chunk->end, ctx, pair_dist, local);
+      }
+      worker_span.arg("pairs_claimed", static_cast<std::uint64_t>(claimed));
+      worker_span.arg("pairs_evaluated", static_cast<std::uint64_t>(local.pairs_evaluated));
+      worker_span.arg("elb_pruned", static_cast<std::uint64_t>(local.elb_pruned_pairs));
+      worker_span.arg("lm_pruned", static_cast<std::uint64_t>(local.lm_pruned_pairs));
+      worker_span.arg("sp_computations", static_cast<std::uint64_t>(local.sp_computations));
+      worker_counters[w] = std::move(local);
+    };
+    parallel_for(pair_dist.size(), config_.threads, kPairChunk, worker);
+    // The counters are sums, so the totals do not depend on which worker
+    // took which chunk (settled_nodes under the CH engines aside).
+    for (const Phase3Output& c : worker_counters) add_counters(counters, c);
     pairs_span.arg("pairs", static_cast<std::uint64_t>(pair_dist.size()));
+    pairs_span.arg("threads", static_cast<std::uint64_t>(workers));
     pairs_span.arg("elb_pruned", static_cast<std::uint64_t>(counters.elb_pruned_pairs));
     pairs_span.arg("lm_pruned", static_cast<std::uint64_t>(counters.lm_pruned_pairs));
     pairs_span.arg("sp_computations",
@@ -448,12 +479,8 @@ Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
 
   obs::ScopedSpan merge_span("phase3.cluster");
   Phase3Output out = cluster_from_pair_distances(flows, pair_dist);
-  detail::add_phase3_metrics(counters, pair_dist.size(), config_.use_landmarks);
-  out.sp_computations = counters.sp_computations;
-  out.elb_pruned_pairs = counters.elb_pruned_pairs;
-  out.lm_pruned_pairs = counters.lm_pruned_pairs;
-  out.pairs_evaluated = counters.pairs_evaluated;
-  out.settled_nodes = counters.settled_nodes;
+  add_counters(out, counters);
+  add_phase3_metrics(counters, pair_dist.size(), config_.use_landmarks);
   obs::Registry::global()
       .counter("neat_core_final_clusters_total")
       .add(out.clusters.size());

@@ -19,8 +19,14 @@
 // Neither prune ever changes a merge decision, only the work performed.
 //
 // Queries that survive pruning run on a configurable DistanceEngine ladder
-// (plain Dijkstra / ALT-steered A* / Contraction Hierarchies); every rung
-// returns the same distances, so clusters are bit-identical across engines.
+// (Dijkstra, run as ALT-steered A* when landmarks are on, or Contraction
+// Hierarchies); every rung returns the same distances, so clusters are
+// bit-identical across engines.
+//
+// The pair evaluations are independent, so refine() spreads them across
+// RefineConfig::threads workers; the DBSCAN merge then runs serially on the
+// finished matrix, so clusters and counters do not depend on the thread
+// count.
 #pragma once
 
 #include <cstddef>
@@ -54,11 +60,9 @@ enum class FlowDistanceMode {
 /// Every rung returns identical distances — the ladder only trades
 /// preprocessing for per-query work, never merge decisions.
 enum class DistanceEngine {
-  /// Plain bounded Dijkstra (NodeDistanceOracle), no preprocessing.
+  /// Bounded Dijkstra (NodeDistanceOracle), no preprocessing; with
+  /// RefineConfig::use_landmarks the searches run as ALT-steered A*.
   kDijkstra,
-  /// ALT: landmark tables prune pairs and steer the surviving searches as
-  /// A*. Equivalent to kDijkstra + use_landmarks (kept for compatibility).
-  kAlt,
   /// Contraction Hierarchies: one-time node-contraction preprocessing, then
   /// bidirectional upward searches that settle orders of magnitude fewer
   /// nodes per query (roadnet::ChEngine).
@@ -83,9 +87,7 @@ struct RefineConfig {
   /// Dijkstra runs to build (lazily, on first refine()).
   bool use_landmarks{false};
   int num_landmarks{8};    ///< Landmark count when use_landmarks is set.
-  /// Shortest-path engine for the queries pruning cannot skip. The Refiner
-  /// constructor normalizes the legacy flag: use_landmarks with kDijkstra
-  /// becomes kAlt, and kAlt implies use_landmarks. kCh builds a
+  /// Shortest-path engine for the queries pruning cannot skip. kCh builds a
   /// roadnet::ChEngine lazily on first refine() (or accepts a shared one
   /// via Refiner::set_ch_engine).
   DistanceEngine distance_engine{DistanceEngine::kDijkstra};
@@ -98,8 +100,8 @@ struct RefineConfig {
   /// DBSCAN minPts over flows. 1 (the default) makes every flow core, which
   /// matches the paper's "no minimum cardinality" modification.
   int min_pts{1};
-  /// Worker threads for the pairwise-distance evaluation (see
-  /// ParallelRefiner). The output is bit-identical for any value; 0/1 =
+  /// Worker threads for the pairwise-distance evaluation in
+  /// Refiner::refine. The output is bit-identical for any value; 0/1 =
   /// serial. Honored by NeatClusterer and the serving/incremental paths.
   unsigned threads{1};
 };
@@ -130,14 +132,6 @@ struct Phase3Output {
 /// endpoint distances d(a_i, b_j). Exposed for tests.
 [[nodiscard]] double hausdorff_from_parts(double d11, double d12, double d21, double d22);
 
-namespace detail {
-/// Adds one Phase-3 run's work counters to the global metric registry —
-/// one bulk update so the per-pair hot loop never touches shared atomics.
-/// Shared by the serial and parallel refiners.
-void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs,
-                        bool landmarks_enabled);
-}  // namespace detail
-
 /// Merges flow clusters into final trajectory clusters.
 class Refiner {
  public:
@@ -147,7 +141,12 @@ class Refiner {
   /// landmark tables are built lazily on first use.
   Refiner(const roadnet::RoadNetwork& net, RefineConfig config);
 
-  /// Runs the refinement over the given flows. Deterministic.
+  /// Runs the refinement over the given flows, evaluating the pair
+  /// distances across config().threads workers (landmark tables and the
+  /// hierarchy are built first; workers only read them). Deterministic:
+  /// clusters and counters are identical at any thread count, except
+  /// settled_nodes under kCh/kChTable, where each worker memoizes hub
+  /// labels and the total depends on how chunks land on workers.
   [[nodiscard]] Phase3Output refine(const std::vector<FlowCluster>& flows) const;
 
   /// Network (modified Hausdorff) distance between two flow clusters under
@@ -171,7 +170,7 @@ class Refiner {
   [[nodiscard]] double landmark_hausdorff_bound(const FlowCluster& a, const FlowCluster& b,
                                                 const roadnet::LandmarkOracle& lm) const;
 
-  // --- building blocks shared with ParallelRefiner ---------------------------
+  // --- building blocks of refine(), exposed for benches and tools ----------
 
   /// Per-thread distance-evaluation workspace: a Dijkstra/ALT oracle plus,
   /// under DistanceEngine::kCh/kChTable, a query head (and for kChTable a
@@ -198,13 +197,12 @@ class Refiner {
     }
   };
 
-  /// Pairs per fill_pair_distances() chunk, shared by the serial refiner's
-  /// loop and ParallelRefiner's work claiming. One constant keeps the chunk
-  /// boundaries — and with them the kChTable batching and every
-  /// deterministic counter — identical at any thread count. Large enough to
-  /// amortize the claim atomic and the per-chunk table fill, small enough
-  /// that an unlucky worker stuck with expensive pairs cannot stall the
-  /// others at the end of the matrix.
+  /// Pairs per fill_pair_distances() chunk claimed by refine()'s workers.
+  /// One constant keeps the chunk boundaries — and with them the kChTable
+  /// batching and every deterministic counter — identical at any thread
+  /// count. Large enough to amortize the claim atomic and the per-chunk
+  /// table fill, small enough that an unlucky worker stuck with expensive
+  /// pairs cannot stall the others at the end of the matrix.
   static constexpr std::size_t kPairChunk = 64;
 
   /// Builds a workspace for the configured engine. Under kCh this triggers
@@ -222,12 +220,11 @@ class Refiner {
 
   /// Evaluates the condensed-matrix entries [begin, end) into the matching
   /// slots of `pair_dist` (the FULL condensed matrix span; entries outside
-  /// the range are untouched). The one pair-evaluation code path of both
-  /// refiners: the serial refine() walks it chunk by chunk and
-  /// ParallelRefiner's workers claim chunks concurrently, so prune and
-  /// computation counters are bit-identical at any thread count. Under
-  /// kChTable (endpoint mode) the chunk's surviving pairs are answered by a
-  /// single CHTableEngine::table() fill over their deduplicated endpoints.
+  /// the range are untouched). refine()'s workers call it once per claimed
+  /// chunk, so prune and computation counters are bit-identical at any
+  /// thread count. Under kChTable (endpoint mode) the chunk's surviving
+  /// pairs are answered by a single CHTableEngine::table() fill over their
+  /// deduplicated endpoints.
   void fill_pair_distances(const std::vector<FlowCluster>& flows, std::size_t begin,
                            std::size_t end, DistanceContext& ctx,
                            std::span<double> pair_dist, Phase3Output& counters) const;

@@ -106,7 +106,7 @@ class ColumnarTrajectoryStore {
 /// Adapts a columnar store to the Phase 1 TrajectorySource interface.
 /// `at` materializes from the mapping; `batch_done` releases the consumed
 /// range (when `release_batches`), so a streaming Phase 1 run keeps only
-/// about one batch of points resident.
+/// about one batch (Fragmenter::kBatchSize trajectories) of points resident.
 class ColumnarTrajectorySource final : public TrajectorySource {
  public:
   /// Keeps a reference to `store`; do not outlive it.

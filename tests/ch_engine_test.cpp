@@ -15,7 +15,7 @@
 
 #include "common/rng.h"
 #include "core/clusterer.h"
-#include "core/parallel_refiner.h"
+#include "core/refiner.h"
 #include "roadnet/builder.h"
 #include "roadnet/generators.h"
 #include "roadnet/shortest_path.h"
@@ -266,10 +266,18 @@ TEST(ChEngineLadder, EveryEngineProducesIdenticalClusters) {
   base.epsilon = 500.0;
   const Phase3Output reference = Refiner(net, base).refine(flows);
 
-  for (const DistanceEngine engine :
-       {DistanceEngine::kDijkstra, DistanceEngine::kAlt, DistanceEngine::kCh}) {
+  // Dijkstra, Dijkstra with landmarks (the ALT rung), CH.
+  struct Rung {
+    DistanceEngine engine;
+    bool landmarks;
+  };
+  for (const Rung rung : {Rung{DistanceEngine::kDijkstra, false},
+                          Rung{DistanceEngine::kDijkstra, true},
+                          Rung{DistanceEngine::kCh, false}}) {
+    const DistanceEngine engine = rung.engine;
     RefineConfig cfg = base;
     cfg.distance_engine = engine;
+    cfg.use_landmarks = rung.landmarks;
     const Phase3Output serial = Refiner(net, cfg).refine(flows);
     ASSERT_EQ(serial.clusters.size(), reference.clusters.size());
     for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
@@ -285,7 +293,7 @@ TEST(ChEngineLadder, EveryEngineProducesIdenticalClusters) {
     for (const unsigned threads : {2u, 8u}) {
       RefineConfig pcfg = cfg;
       pcfg.threads = threads;
-      const Phase3Output parallel = ParallelRefiner(net, pcfg).refine(flows);
+      const Phase3Output parallel = Refiner(net, pcfg).refine(flows);
       ASSERT_EQ(parallel.clusters.size(), serial.clusters.size());
       for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
         EXPECT_EQ(parallel.clusters[i].flows, serial.clusters[i].flows);

@@ -44,15 +44,29 @@ void expect_identical(const Phase1Output& a, const Phase1Output& b) {
     EXPECT_EQ(ca.sid(), cb.sid());
     EXPECT_EQ(ca.density(), cb.density());
     EXPECT_EQ(ca.participants(), cb.participants());
-    ASSERT_EQ(ca.fragments().size(), cb.fragments().size());
-    for (std::size_t f = 0; f < ca.fragments().size(); ++f) {
-      EXPECT_EQ(ca.fragments()[f].trid, cb.fragments()[f].trid);
-      EXPECT_EQ(ca.fragments()[f].entry.pos, cb.fragments()[f].entry.pos);
-      EXPECT_EQ(ca.fragments()[f].exit.pos, cb.fragments()[f].exit.pos);
-      EXPECT_EQ(ca.fragments()[f].num_samples, cb.fragments()[f].num_samples);
+  }
+}
+
+/// The source's trajectories fragment exactly like the dataset's: same
+/// per-trajectory Fragmenter::fragment streams.
+void expect_same_fragments(const Fragmenter& fragmenter, const traj::TrajectoryDataset& data,
+                           const TrajectorySource& source) {
+  ASSERT_EQ(data.size(), source.size());
+  for (std::size_t t = 0; t < data.size(); ++t) {
+    const std::vector<TFragment> a = fragmenter.fragment(data[t]);
+    const std::vector<TFragment> b = fragmenter.fragment(source.at(t));
+    ASSERT_EQ(a.size(), b.size()) << "trajectory " << t;
+    for (std::size_t f = 0; f < a.size(); ++f) {
+      EXPECT_EQ(a[f].trid, b[f].trid);
+      EXPECT_EQ(a[f].entry.pos, b[f].entry.pos);
+      EXPECT_EQ(a[f].exit.pos, b[f].exit.pos);
+      EXPECT_EQ(a[f].num_samples, b[f].num_samples);
     }
   }
 }
+
+/// Thread counts every Phase 1 identity check sweeps.
+constexpr unsigned kThreadCounts[] = {0, 1, 2, 3, 4, 8, 64};
 
 TEST(Columnar, RoundTripIsBitExact) {
   const traj::TrajectoryDataset data = sim_dataset();
@@ -188,14 +202,58 @@ TEST(Columnar, StreamingPhase1BitIdenticalToInMemory) {
 
   const Fragmenter fragmenter(net);
   const Phase1Output reference = fragmenter.build_base_clusters(data);
-  // Tiny batches + varying thread counts: worst case for merge ordering.
-  StreamingPhase1Options tiny;
-  tiny.batch_size = 3;
+  for (const unsigned threads : kThreadCounts) {
+    store::ColumnarTrajectorySource source(cstore);
+    expect_identical(reference, fragmenter.build_base_clusters(source, threads));
+  }
+  expect_same_fragments(fragmenter, data, store::ColumnarTrajectorySource(cstore));
+  std::remove(path.c_str());
+}
+
+TEST(Columnar, MultiBatchStreamingMatchesInMemory) {
+  // More than two full batches, so trajectories of one segment are folded
+  // in from several batches, plus a partial last batch.
+  const roadnet::RoadNetwork net = roadnet::make_grid(8, 8, 110.0);
+  const std::string path = tmp_path("multibatch.neatcol");
+  sim::SyntheticStreamOptions opt;
+  opt.trajectories = 2 * Fragmenter::kBatchSize + 123;
+  opt.segments_per_trajectory = 3;
+  opt.samples_per_segment = 2;
+  (void)sim::generate_columnar_stream(net, path, opt);
+  const store::ColumnarTrajectoryStore cstore(path);
+  traj::TrajectoryDataset data;
+  for (std::size_t i = 0; i < cstore.size(); ++i) data.add(cstore.materialize(i));
+
+  const Fragmenter fragmenter(net);
+  const Phase1Output reference = fragmenter.build_base_clusters(data);
+  for (const unsigned threads : kThreadCounts) {
+    store::ColumnarTrajectorySource source(cstore);
+    expect_identical(reference, fragmenter.build_base_clusters(source, threads));
+    expect_identical(reference, fragmenter.build_base_clusters(data, threads));
+  }
+  expect_same_fragments(fragmenter, data, store::ColumnarTrajectorySource(cstore));
+  std::remove(path.c_str());
+}
+
+// Regression: a streaming worker that hit a sample on a missing segment
+// used to let the exception escape its thread, and the process aborted.
+TEST(Columnar, StreamingUnknownSegmentThrowsAtAnyThreadCount) {
+  const roadnet::RoadNetwork net = roadnet::make_grid(10, 10, 110.0);
+  traj::TrajectoryDataset data;
+  const traj::TrajectoryDataset good = sim_dataset(30, 5);
+  for (std::size_t i = 0; i < good.size(); ++i) {
+    std::vector<traj::Location> points = good[i].points();
+    if (i == good.size() / 2) points.back().sid = SegmentId(999999);
+    data.add(traj::Trajectory(good[i].id(), std::move(points)));
+  }
+  const std::string path = tmp_path("unknown_segment.neatcol");
+  traj::save_columnar(data, path);
+  const store::ColumnarTrajectoryStore cstore(path);
+  const Fragmenter fragmenter(net);
   for (const unsigned threads : {1u, 4u}) {
     store::ColumnarTrajectorySource source(cstore);
-    expect_identical(reference, fragmenter.build_base_clusters(source, threads, tiny));
-    store::ColumnarTrajectorySource big_batches(cstore);
-    expect_identical(reference, fragmenter.build_base_clusters(big_batches, threads));
+    EXPECT_THROW((void)fragmenter.build_base_clusters(source, threads), NotFoundError)
+        << threads << " threads";
   }
   std::remove(path.c_str());
 }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "core/fragmenter.h"
@@ -210,6 +212,54 @@ TEST(Fragmenter, FragmentCountMatchesSegmentTransitions) {
     for (std::size_t i = 1; i < frags.size(); ++i) {
       EXPECT_TRUE(net.are_adjacent(frags[i - 1].sid, frags[i].sid));
       EXPECT_EQ(frags[i - 1].exit.pos, frags[i].entry.pos);
+    }
+  }
+}
+
+/// A source over fixed trajectories: it can repeat an id, which a
+/// TrajectoryDataset refuses to hold.
+class VectorSource final : public TrajectorySource {
+ public:
+  explicit VectorSource(std::vector<traj::Trajectory> trajectories)
+      : trajectories_(std::move(trajectories)) {}
+  [[nodiscard]] std::size_t size() const override { return trajectories_.size(); }
+  [[nodiscard]] traj::Trajectory at(std::size_t i) const override { return trajectories_[i]; }
+
+ private:
+  std::vector<traj::Trajectory> trajectories_;
+};
+
+// Regression: a repeated trajectory id used to be accepted (one participant
+// counted twice in density) when both copies fell in one streaming batch,
+// and rejected only across batches. It is rejected wherever it falls.
+TEST(Fragmenter, RepeatedTrajectoryIdIsRejectedWhereverItFalls) {
+  const roadnet::RoadNetwork net = testutil::line_network(3);
+  const Fragmenter fragmenter(net);
+  const auto trip = [](std::int64_t id) {
+    traj::Trajectory tr{TrajectoryId(id)};
+    tr.append(loc(0, 50, 0, 0.0));
+    tr.append(loc(1, 150, 0, 10.0));
+    return tr;
+  };
+  // Id 7 twice in a row, then at both ends of an input spanning two batches.
+  std::vector<std::vector<traj::Trajectory>> inputs(2);
+  inputs[0] = {trip(7), trip(7)};
+  inputs[1].push_back(trip(7));
+  for (std::int64_t id = 100; inputs[1].size() <= Fragmenter::kBatchSize; ++id) {
+    inputs[1].push_back(trip(id));
+  }
+  inputs[1].push_back(trip(7));
+  for (const std::vector<traj::Trajectory>& trips : inputs) {
+    for (const unsigned threads : {1u, 4u}) {
+      VectorSource source(trips);
+      try {
+        (void)fragmenter.build_base_clusters(source, threads);
+        ADD_FAILURE() << "repeated id accepted (" << trips.size() << " trajectories, "
+                      << threads << " threads)";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find("trajectory id 7 "), std::string::npos)
+            << e.what();
+      }
     }
   }
 }

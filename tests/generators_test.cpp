@@ -2,6 +2,7 @@
 // speed hierarchy, and Table I statistic matching for the presets.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <queue>
 
 #include "common/error.h"
@@ -139,6 +140,10 @@ struct PresetCase {
   double paper_avg_segment_m;
   int paper_max_degree;
 };
+
+// Without this gtest prints the raw bytes of the case (a string pointer and
+// padding), which differ from run to run and leak into discovered test names.
+void PrintTo(const PresetCase& c, std::ostream* os) { *os << c.name; }
 
 class PresetStats : public ::testing::TestWithParam<PresetCase> {};
 

@@ -50,6 +50,26 @@ TEST(BaseCluster, ParticipantsRequireFinalize) {
   EXPECT_THROW(static_cast<void>(c.participants()), PreconditionError);
 }
 
+TEST(BaseCluster, MergeAddsDensitiesAndUnitesParticipants) {
+  BaseCluster a(SegmentId(2));
+  a.add(frag(1, 2));
+  a.add(frag(3, 2));
+  BaseCluster b(SegmentId(2));
+  b.add(frag(2, 2));
+  b.add(frag(3, 2));
+  b.add(frag(3, 2));
+  EXPECT_THROW(a.merge(b), PreconditionError);  // neither is finalized
+  a.finalize();
+  b.finalize();
+  a.merge(b);
+  EXPECT_EQ(a.density(), 5);
+  EXPECT_EQ(a.participants(),
+            (std::vector<TrajectoryId>{TrajectoryId(1), TrajectoryId(2), TrajectoryId(3)}));
+  BaseCluster other(SegmentId(4));
+  other.finalize();
+  EXPECT_THROW(a.merge(other), PreconditionError);
+}
+
 TEST(Netflow, CountCommon) {
   using V = std::vector<TrajectoryId>;
   const V a{TrajectoryId(1), TrajectoryId(3), TrajectoryId(5)};

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_set>
+#include <ostream>
+#include <string>
+#include <unordered_map>
 
 #include "core/clusterer.h"
 #include "core/netflow.h"
@@ -19,6 +21,14 @@ struct SweepCase {
   const char* topology;  // "lattice" | "radial"
   int seed;
 };
+
+std::string case_name(const SweepCase& c) {
+  return std::string(c.topology) + "_seed" + std::to_string(c.seed);
+}
+
+// Without this gtest prints the raw bytes of the case (a string pointer and
+// padding), which differ from run to run and leak into discovered test names.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << case_name(c); }
 
 roadnet::RoadNetwork make_topology(const SweepCase& c) {
   if (std::string(c.topology) == "radial") {
@@ -53,21 +63,33 @@ TEST_P(PipelineSweep, CrossPhaseInvariantsHold) {
   const Result res = NeatClusterer(net, cfg).run(data);
 
   // --- Phase 1 invariants.
-  std::unordered_set<std::int32_t> seen_sids;
+  std::unordered_map<std::int32_t, const BaseCluster*> cluster_of;
   std::size_t density_sum = 0;
   for (const BaseCluster& bc : res.base_clusters) {
-    EXPECT_TRUE(seen_sids.insert(bc.sid().value()).second)
+    EXPECT_TRUE(cluster_of.emplace(bc.sid().value(), &bc).second)
         << "one base cluster per segment (Definition 2)";
     EXPECT_GT(bc.density(), 0);
     EXPECT_GE(bc.density(), bc.cardinality());
     density_sum += static_cast<std::size_t>(bc.density());
     EXPECT_TRUE(std::is_sorted(bc.participants().begin(), bc.participants().end()));
-    for (const TFragment& f : bc.fragments()) {
-      EXPECT_EQ(f.sid, bc.sid());
-      EXPECT_LE(f.entry.t, f.exit.t);
-    }
   }
   EXPECT_EQ(density_sum, res.num_fragments);
+  // Per-fragment invariants, on each trajectory's fragment stream: every
+  // fragment runs forward in time and lands in its segment's base cluster.
+  const Fragmenter fragmenter(net);
+  std::size_t stream_fragments = 0;
+  for (const traj::Trajectory& tr : data) {
+    for (const TFragment& f : fragmenter.fragment(tr)) {
+      EXPECT_EQ(f.trid, tr.id());
+      EXPECT_LE(f.entry.t, f.exit.t);
+      const auto it = cluster_of.find(f.sid.value());
+      ASSERT_NE(it, cluster_of.end()) << "fragment on segment " << f.sid.value();
+      const std::vector<TrajectoryId>& participants = it->second->participants();
+      EXPECT_TRUE(std::binary_search(participants.begin(), participants.end(), tr.id()));
+      ++stream_fragments;
+    }
+  }
+  EXPECT_EQ(stream_fragments, res.num_fragments);
   // Density ordering.
   for (std::size_t i = 1; i < res.base_clusters.size(); ++i) {
     EXPECT_GE(res.base_clusters[i - 1].density(), res.base_clusters[i].density());
@@ -144,10 +166,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SweepCase{"lattice", 1}, SweepCase{"lattice", 2},
                       SweepCase{"lattice", 3}, SweepCase{"radial", 1},
                       SweepCase{"radial", 2}, SweepCase{"radial", 3}),
-    [](const auto& param_info) {
-      return std::string(param_info.param.topology) + "_seed" +
-             std::to_string(param_info.param.seed);
-    });
+    [](const auto& param_info) { return case_name(param_info.param); });
 
 }  // namespace
 }  // namespace neat

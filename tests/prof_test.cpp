@@ -3,7 +3,8 @@
 // Carries the `concurrency` ctest label: the profiler's interesting failure
 // modes are races between the SIGPROF handler, worker threads being
 // sampled, and start/stop teardown, so CI runs this binary under TSan —
-// including one test that profiles straight through a ParallelRefiner run.
+// including one test that profiles straight through a multi-threaded Phase 3
+// run.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -165,7 +166,7 @@ TEST(Profiler, StatusJsonTracksSessionState) {
   static_cast<void>(profile);
 }
 
-// The profiler sampling straight through a ParallelRefiner run: worker
+// The profiler sampling straight through a 4-thread Phase 3 run: worker
 // threads are created and joined while SIGPROF fires across them. Under
 // TSan this exercises handler-vs-thread-lifecycle races; the run must
 // produce the same clusters as an unprofiled one.

@@ -1,20 +1,20 @@
 // Metamorphic tests for the Phase 3 acceleration layer: transformations that
 // must not change the clustering.
-//  * Thread count: ParallelRefiner at 1, 2 and 8 threads reproduces the
-//    serial Refiner bit-for-bit (clusters AND instrumentation counters).
+//  * Thread count: Refiner at 1, 2 and 8 refine threads reproduces the
+//    serial run bit-for-bit (clusters AND instrumentation counters).
 //  * Pruning: ELB and landmark pruning on/off in every combination leaves
 //    the merge decisions unchanged — only pairs_evaluated / sp_computations
 //    may shrink when a prune is active.
-//  * Distance engine: every rung of the ladder (Dijkstra / ALT / CH /
-//    CH many-to-many table) yields identical clusters and identical
-//    engine-invariant pruning counters, at 1, 2 and 8 refine threads.
+//  * Distance engine: every rung of the ladder (Dijkstra with landmarks,
+//    i.e. ALT / CH / CH many-to-many table) yields identical clusters and
+//    identical engine-invariant pruning counters, at 1, 2 and 8 refine
+//    threads.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "core/clusterer.h"
-#include "core/parallel_refiner.h"
 #include "roadnet/generators.h"
 #include "sim/mobility_simulator.h"
 
@@ -78,7 +78,7 @@ TEST(ParallelRefinerMetamorphic, ThreadCountNeverChangesAnything) {
       for (const unsigned threads : {1u, 2u, 8u}) {
         RefineConfig pcfg = cfg;
         pcfg.threads = threads;
-        const Phase3Output parallel = ParallelRefiner(w.net, pcfg).refine(w.flows);
+        const Phase3Output parallel = Refiner(w.net, pcfg).refine(w.flows);
         expect_identical(serial, parallel,
                          landmarks ? "landmarks on" : "landmarks off");
       }
@@ -90,9 +90,10 @@ TEST(ParallelRefinerMetamorphic, DelegatesForTinyInputs) {
   const Workload w = make_workload(8, 8, 5, 6, 20);
   RefineConfig cfg;
   cfg.epsilon = 400.0;
-  cfg.threads = 8;
-  const ParallelRefiner pr(w.net, cfg);
-  // Single flow and empty input exercise the serial-delegation path.
+  RefineConfig threaded = cfg;
+  threaded.threads = 8;
+  const Refiner pr(w.net, threaded);
+  // A single flow (no pairs) and empty input never start a worker.
   const std::vector<FlowCluster> one(w.flows.begin(), w.flows.begin() + 1);
   const Phase3Output serial = Refiner(w.net, cfg).refine(one);
   expect_identical(serial, pr.refine(one), "single flow");
@@ -183,9 +184,9 @@ TEST(DistanceEngineMetamorphic, EngineAndThreadCountNeverChangeClusters) {
   base.use_landmarks = true;
   const Phase3Output reference = Refiner(w.net, base).refine(w.flows);
 
+  // base.use_landmarks is on, so the kDijkstra rung runs as ALT.
   for (const DistanceEngine engine :
-       {DistanceEngine::kDijkstra, DistanceEngine::kAlt, DistanceEngine::kCh,
-        DistanceEngine::kChTable}) {
+       {DistanceEngine::kDijkstra, DistanceEngine::kCh, DistanceEngine::kChTable}) {
     RefineConfig cfg = base;
     cfg.distance_engine = engine;
     const Phase3Output serial = Refiner(w.net, cfg).refine(w.flows);
@@ -198,7 +199,7 @@ TEST(DistanceEngineMetamorphic, EngineAndThreadCountNeverChangeClusters) {
     for (const unsigned threads : {1u, 2u, 8u}) {
       RefineConfig pcfg = cfg;
       pcfg.threads = threads;
-      const Phase3Output parallel = ParallelRefiner(w.net, pcfg).refine(w.flows);
+      const Phase3Output parallel = Refiner(w.net, pcfg).refine(w.flows);
       expect_same_clusters(serial, parallel, what);
       EXPECT_EQ(parallel.sp_computations, serial.sp_computations) << what;
       EXPECT_EQ(parallel.elb_pruned_pairs, serial.elb_pruned_pairs) << what;
@@ -207,7 +208,7 @@ TEST(DistanceEngineMetamorphic, EngineAndThreadCountNeverChangeClusters) {
       // settled_nodes depends on which worker's memoized label cache each
       // chunk lands in for the hub-label engines; it is thread-invariant
       // only for the per-pair-independent rungs.
-      if (engine == DistanceEngine::kDijkstra || engine == DistanceEngine::kAlt) {
+      if (engine == DistanceEngine::kDijkstra) {
         EXPECT_EQ(parallel.settled_nodes, serial.settled_nodes) << what;
       } else {
         EXPECT_GT(parallel.settled_nodes, 0u) << what;
