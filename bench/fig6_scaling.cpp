@@ -198,7 +198,7 @@ int main() {
     const bool rss_reset = obs::reset_peak_rss();
     eval::TextTable ooc({"dataset", "phase1 threads", "phase1 s", "speedup",
                          "#base clusters"});
-    double serial_s = 0.0;
+    double serial_phase1_s = 0.0;
     std::size_t base_clusters = 0;
     for (const unsigned threads : std::vector<unsigned>{1, 2, 4, 8}) {
       Config ocfg;
@@ -214,10 +214,10 @@ int main() {
         base_clusters = res.base_clusters.size();  // deterministic across repeats
       }
       const double phase1_s = bench::median(p1s);
-      if (threads == 1) serial_s = phase1_s;
+      if (threads == 1) serial_phase1_s = phase1_s;
       ooc.add_row({str_cat("OOC", ooc_paper_objects), std::to_string(threads),
                    format_fixed(phase1_s, 3),
-                   format_fixed(phase1_s > 0 ? serial_s / phase1_s : 0.0, 2),
+                   format_fixed(phase1_s > 0 ? serial_phase1_s / phase1_s : 0.0, 2),
                    std::to_string(base_clusters)});
       json.add_row(str_cat("OOC", ooc_paper_objects, "_phase1_threads", threads),
                    {{"phase1_s", phase1_s},

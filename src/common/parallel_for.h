@@ -1,6 +1,6 @@
 // The one worker-pool idiom of the pipeline: a dynamically claimed,
 // chunked loop over [0, n). Phase 1 fragments trajectories with it and
-// Phase 3 fills the condensed pair-distance matrix with it.
+// Phase 3 evaluates its candidate flow pairs with it.
 //
 // The worker callable runs once per worker and pulls chunks from a shared
 // ChunkCursor until none are left, so per-worker state (a search context, a

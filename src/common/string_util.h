@@ -12,7 +12,7 @@ namespace neat {
 template <class... Args>
 [[nodiscard]] std::string str_cat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  ((os << args), ...);
   return os.str();
 }
 

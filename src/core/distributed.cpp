@@ -91,6 +91,7 @@ Result run_sharded(const roadnet::RoadNetwork& net,
   result.elb_pruned_pairs = p3.elb_pruned_pairs;
   result.lm_pruned_pairs = p3.lm_pruned_pairs;
   result.pairs_evaluated = p3.pairs_evaluated;
+  result.settled_nodes = p3.settled_nodes;
   result.timing.phase3_s = watch.elapsed_seconds();
   return result;
 }

@@ -23,13 +23,18 @@
 // Hierarchies); every rung returns the same distances, so clusters are
 // bit-identical across engines.
 //
-// The pair evaluations are independent, so refine() spreads them across
-// RefineConfig::threads workers; the DBSCAN merge then runs serially on the
-// finished matrix, so clusters and counters do not depend on the thread
-// count.
+// refine() never visits all n(n-1)/2 pairs. With ELB on, a uniform grid of
+// ε-wide cells over the points the ELB key measures yields the candidate
+// pairs, and the ELB test runs on those alone; every other pair is ELB-pruned
+// by construction. The candidates are evaluated in fixed chunks across
+// RefineConfig::threads workers, which keep only the pairs within ε. The
+// DBSCAN merge then runs serially over each flow's ε-neighbour list, so
+// clusters and counters do not depend on the thread count, and time and
+// memory grow with n plus the candidate pairs.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -100,7 +105,7 @@ struct RefineConfig {
   /// DBSCAN minPts over flows. 1 (the default) makes every flow core, which
   /// matches the paper's "no minimum cardinality" modification.
   int min_pts{1};
-  /// Worker threads for the pairwise-distance evaluation in
+  /// Worker threads for the candidate-pair evaluation in
   /// Refiner::refine. The output is bit-identical for any value; 0/1 =
   /// serial. Honored by NeatClusterer and the serving/incremental paths.
   unsigned threads{1};
@@ -141,9 +146,11 @@ class Refiner {
   /// landmark tables are built lazily on first use.
   Refiner(const roadnet::RoadNetwork& net, RefineConfig config);
 
-  /// Runs the refinement over the given flows, evaluating the pair
-  /// distances across config().threads workers (landmark tables and the
-  /// hierarchy are built first; workers only read them). Deterministic:
+  /// Runs the refinement over the given flows (fewer than 2^32), evaluating
+  /// the candidate pairs across config().threads workers (landmark tables
+  /// and the hierarchy are built first; workers only read them). Time and
+  /// memory are O(n + candidate pairs); the n(n-1)/2 pairs are never
+  /// enumerated unless ELB is off. Deterministic:
   /// clusters and counters are identical at any thread count, except
   /// settled_nodes under kCh/kChTable, where each worker memoizes hub
   /// labels and the total depends on how chunks land on workers.
@@ -178,14 +185,18 @@ class Refiner {
   /// not thread safe, create one per thread.
   struct DistanceContext {
     roadnet::NodeDistanceOracle oracle;
-    std::optional<roadnet::ChEngine::Query> ch;
-    std::optional<roadnet::CHTableEngine> table;
-    // Batched-table scratch of fill_pair_distances, reused across chunks.
-    // Kept beside the engines so the spans handed to table() are per-thread
-    // and provably disjoint from the shared condensed matrix.
-    std::vector<NodeId> table_sources;
-    std::vector<NodeId> table_targets;
-    std::vector<double> table_cells;
+    std::optional<roadnet::ChEngine::Query> ch{};
+    std::optional<roadnet::CHTableEngine> table{};
+    /// The refiner's landmark oracle (nullptr when landmarks are off),
+    /// resolved once so the per-pair work never takes the refiner's lock.
+    const roadnet::LandmarkOracle* landmarks{nullptr};
+    // Batched-table scratch, reused across chunks. Kept beside the engines
+    // so the spans handed to table() are per-thread and provably disjoint
+    // from the caller's outputs.
+    std::vector<NodeId> table_sources{};
+    std::vector<NodeId> table_targets{};
+    std::vector<double> table_cells{};
+    std::vector<std::size_t> table_pairs{};  ///< Chunk slot of each batched pair.
 
     [[nodiscard]] std::size_t computations() const {
       return oracle.computations() + (ch ? ch->computations() : 0) +
@@ -197,42 +208,37 @@ class Refiner {
     }
   };
 
-  /// Pairs per fill_pair_distances() chunk claimed by refine()'s workers.
-  /// One constant keeps the chunk boundaries — and with them the kChTable
-  /// batching and every deterministic counter — identical at any thread
-  /// count. Large enough to amortize the claim atomic and the per-chunk
-  /// table fill, small enough that an unlucky worker stuck with expensive
-  /// pairs cannot stall the others at the end of the matrix.
+  /// Candidate pairs per chunk claimed by refine()'s workers, and ELB
+  /// survivors per evaluation block of fill_pair_distances(). One constant
+  /// keeps the chunk boundaries — and with them the kChTable batching and
+  /// every deterministic counter — identical at any thread count. Large
+  /// enough to amortize the claim atomic and the per-chunk table fill, small
+  /// enough that an unlucky worker stuck with expensive pairs cannot stall
+  /// the others at the end of the candidate list.
   static constexpr std::size_t kPairChunk = 64;
 
   /// Builds a workspace for the configured engine. Under kCh this triggers
-  /// the (thread-safe, once-only) lazy hierarchy build.
+  /// the (thread-safe, once-only) lazy hierarchy build, and with landmarks
+  /// on it resolves the landmark oracle (building it on first use).
   [[nodiscard]] DistanceContext make_context() const;
 
-  /// Distance of one candidate pair exactly as refine() uses it: applies the
-  /// ELB and landmark prunes (returning +inf without any search when one
-  /// fires), otherwise evaluates the configured network Hausdorff with
-  /// batched one-to-many searches. Work counters accumulate into `counters`
-  /// (the `clusters` member is untouched).
-  [[nodiscard]] double refine_pair_distance(const FlowCluster& a, const FlowCluster& b,
-                                            DistanceContext& ctx,
-                                            Phase3Output& counters) const;
-
-  /// Evaluates the condensed-matrix entries [begin, end) into the matching
-  /// slots of `pair_dist` (the FULL condensed matrix span; entries outside
-  /// the range are untouched). refine()'s workers call it once per claimed
-  /// chunk, so prune and computation counters are bit-identical at any
-  /// thread count. Under kChTable (endpoint mode) the chunk's surviving
-  /// pairs are answered by a single CHTableEngine::table() fill over their
-  /// deduplicated endpoints.
+  /// The dense reference evaluator: writes the distance of every
+  /// condensed-matrix pair in [begin, end) into its slot of `pair_dist` (the
+  /// FULL condensed matrix span; entries outside the range are untouched).
+  /// Pair (i, j), i < j, lives at index i * n - i * (i + 1) / 2 + (j - i - 1).
+  /// Pruned pairs read +inf. Applies the ELB test to every pair, then
+  /// evaluates the survivors kPairChunk at a time, in matrix order, with the
+  /// per-chunk code refine() runs (one CHTableEngine::table() fill per chunk
+  /// under kChTable, endpoint mode). refine() itself never builds this
+  /// matrix; benches and tests use it as an independent oracle.
   void fill_pair_distances(const std::vector<FlowCluster>& flows, std::size_t begin,
                            std::size_t end, DistanceContext& ctx,
                            std::span<double> pair_dist, Phase3Output& counters) const;
 
   /// The deterministic DBSCAN merge over a precomputed condensed pair
-  /// distance matrix: entry for pair (i, j), i < j, lives at index
-  /// i * n - i * (i + 1) / 2 + (j - i - 1). Only the `clusters` member of
-  /// the result is populated.
+  /// distance matrix (layout as in fill_pair_distances): turns it into each
+  /// flow's ε-neighbour list and runs the DBSCAN refine() runs. Only the
+  /// `clusters` member of the result is populated.
   [[nodiscard]] Phase3Output cluster_from_pair_distances(
       const std::vector<FlowCluster>& flows, std::span<const double> pair_distances) const;
 
@@ -257,16 +263,31 @@ class Refiner {
   [[nodiscard]] const roadnet::RoadNetwork& network() const { return net_; }
 
  private:
-  /// Applies the admissible ELB and landmark prunes to one pair, bumping the
-  /// matching counter. True = pruned (the pair's distance is > ε without any
-  /// shortest-path work).
-  bool pair_pruned(const FlowCluster& a, const FlowCluster& b,
-                   const roadnet::LandmarkOracle* lm, Phase3Output& counters) const;
-  double network_hausdorff(const FlowCluster& a, const FlowCluster& b, DistanceContext& ctx,
-                           const roadnet::LandmarkOracle* lm) const;
+  /// A flow pair by index into the flow vector, i < j.
+  struct FlowPair {
+    std::uint32_t i;
+    std::uint32_t j;
+  };
+
+  /// True when the ELB test prunes the pair (ELB on and key > ε).
+  bool elb_pruned(const FlowCluster& a, const FlowCluster& b) const;
+  /// Every pair the ELB test keeps, in (i, j) order, found by a grid join
+  /// instead of a scan over all pairs.
+  std::vector<FlowPair> elb_survivors(const std::vector<FlowCluster>& flows) const;
+  /// Evaluates pairs that already passed ELB into dist[k] (+inf when the
+  /// landmark bound prunes pairs[k]); at most one table() fill under
+  /// kChTable, endpoint mode. Work counters accumulate into `counters`.
+  void evaluate_pairs(const std::vector<FlowCluster>& flows, std::span<const FlowPair> pairs,
+                      DistanceContext& ctx, std::span<double> dist,
+                      Phase3Output& counters) const;
+  /// The DBSCAN merge over the pairs within ε (any order). Only the
+  /// `clusters` member of the result is populated.
+  Phase3Output cluster_close_pairs(const std::vector<FlowCluster>& flows,
+                                   std::span<const FlowPair> close) const;
+  double network_hausdorff(const FlowCluster& a, const FlowCluster& b,
+                           DistanceContext& ctx) const;
   double network_route_hausdorff(const FlowCluster& a, const FlowCluster& b,
-                                 DistanceContext& ctx,
-                                 const roadnet::LandmarkOracle* lm) const;
+                                 DistanceContext& ctx) const;
   double elb_key(const FlowCluster& a, const FlowCluster& b) const;
 
   const roadnet::RoadNetwork& net_;

@@ -103,7 +103,7 @@ TEST(Geometry, PointAlongPolyline) {
   EXPECT_EQ(point_along_polyline(line, 5.0), (Point{5, 0}));
   EXPECT_EQ(point_along_polyline(line, 15.0), (Point{10, 5}));
   EXPECT_EQ(point_along_polyline(line, 100.0), (Point{10, 10}));
-  EXPECT_THROW(point_along_polyline({}, 1.0), PreconditionError);
+  EXPECT_THROW((void)point_along_polyline({}, 1.0), PreconditionError);
 }
 
 TEST(Geometry, HeadingAndAngleDifference) {
@@ -142,16 +142,16 @@ TEST(StringUtil, Trim) {
 TEST(StringUtil, ParseDouble) {
   EXPECT_DOUBLE_EQ(parse_double("2.5"), 2.5);
   EXPECT_DOUBLE_EQ(parse_double(" -1e3 "), -1000.0);
-  EXPECT_THROW(parse_double("abc"), ParseError);
-  EXPECT_THROW(parse_double("1.5x"), ParseError);
-  EXPECT_THROW(parse_double(""), ParseError);
+  EXPECT_THROW((void)parse_double("abc"), ParseError);
+  EXPECT_THROW((void)parse_double("1.5x"), ParseError);
+  EXPECT_THROW((void)parse_double(""), ParseError);
 }
 
 TEST(StringUtil, ParseInt) {
   EXPECT_EQ(parse_int("42"), 42);
   EXPECT_EQ(parse_int(" -7 "), -7);
-  EXPECT_THROW(parse_int("4.2"), ParseError);
-  EXPECT_THROW(parse_int(""), ParseError);
+  EXPECT_THROW((void)parse_int("4.2"), ParseError);
+  EXPECT_THROW((void)parse_int(""), ParseError);
 }
 
 TEST(StringUtil, FormatFixed) {
@@ -258,9 +258,9 @@ TEST(Rng, PickAndIndexValidate) {
     const int x = rng.pick(v);
     EXPECT_TRUE(x == 10 || x == 20 || x == 30);
   }
-  EXPECT_THROW(rng.index(0), PreconditionError);
-  EXPECT_THROW(rng.pick(std::vector<int>{}), PreconditionError);
-  EXPECT_THROW(rng.uniform_int(3, 2), PreconditionError);
+  EXPECT_THROW((void)rng.index(0), PreconditionError);
+  EXPECT_THROW((void)rng.pick(std::vector<int>{}), PreconditionError);
+  EXPECT_THROW((void)rng.uniform_int(3, 2), PreconditionError);
 }
 
 TEST(Rng, WeightedIndexZeroWeightNeverPicked) {

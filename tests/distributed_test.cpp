@@ -80,6 +80,7 @@ TEST_P(ShardedEquivalence, MatchesMonolithicRun) {
   const Result sharded = run_sharded(net, shard_ptrs, cfg);
 
   EXPECT_EQ(sharded.num_fragments, whole.num_fragments);
+  EXPECT_EQ(sharded.num_gap_repairs, whole.num_gap_repairs);
   ASSERT_EQ(sharded.base_clusters.size(), whole.base_clusters.size());
   for (std::size_t i = 0; i < whole.base_clusters.size(); ++i) {
     EXPECT_EQ(sharded.base_clusters[i].sid(), whole.base_clusters[i].sid());
@@ -96,6 +97,14 @@ TEST_P(ShardedEquivalence, MatchesMonolithicRun) {
   for (std::size_t i = 0; i < whole.final_clusters.size(); ++i) {
     EXPECT_EQ(sharded.final_clusters[i].flows, whole.final_clusters[i].flows);
   }
+  // The same flows go through the same Phase 3, so every work counter
+  // reaches the Result too.
+  EXPECT_EQ(sharded.sp_computations, whole.sp_computations);
+  EXPECT_EQ(sharded.elb_pruned_pairs, whole.elb_pruned_pairs);
+  EXPECT_EQ(sharded.lm_pruned_pairs, whole.lm_pruned_pairs);
+  EXPECT_EQ(sharded.pairs_evaluated, whole.pairs_evaluated);
+  EXPECT_EQ(sharded.settled_nodes, whole.settled_nodes);
+  EXPECT_GT(whole.settled_nodes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedEquivalence, ::testing::Values(1u, 2u, 3u, 7u));

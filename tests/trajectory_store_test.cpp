@@ -59,7 +59,7 @@ TEST_F(StoreFixture, TraversalsSortedByTime) {
   }
   for (const Traversal& t : ts) EXPECT_LE(t.enter_t, t.exit_t);
   EXPECT_TRUE(store_.traversals(SegmentId(1)).size() == 3u);
-  EXPECT_THROW(store_.traversals(SegmentId(99)), Error);
+  EXPECT_THROW((void)store_.traversals(SegmentId(99)), Error);
 }
 
 TEST(Store, RepeatedReadsDoNotResort) {
