@@ -6,13 +6,15 @@
 //   ELB+landmark — ELB, then the ALT triangle-inequality bound, with the
 //                  landmark tables also steering surviving searches as A*
 //                  potentials;
-//   ELB+CH       — ELB, with surviving pairs answered by the contraction
+//   ELB+CH-nolm  — ELB, with surviving pairs answered by the contraction
 //                  hierarchy's memoized upward labels (exact, same
 //                  clusters, a fraction of the settled nodes);
-//   ELB+CHtable  — like ELB+CH, but each worker chunk's surviving pairs are
-//                  batched into one bucket-based many-to-many table fill
-//                  (roadnet::CHTableEngine) instead of per-pair label
-//                  merges. Same clusters, bit-identical pruning counters.
+//   ELB+CH       — ELB+CH-nolm with the landmark bound in front of the
+//                  hierarchy. Its sp-calls, lm-pruned and settled columns
+//                  against ELB+CH-nolm show what the landmark prune saves
+//                  under CH. The phase3 s column cannot show it: every run
+//                  builds a fresh hierarchy, which costs far more than the
+//                  searches at these scales.
 // The paper's observations to reproduce: the Dijkstra variant's cost tracks
 // the *number of flows* (Table III), not the dataset size — visible in the
 // SJ series — and ELB removes most of the shortest-path work. The landmark
@@ -77,20 +79,19 @@ std::vector<Variant> variants() {
   elb.refine.use_elb = true;
   Config elb_lm = elb;
   elb_lm.refine.use_landmarks = true;
+  // The CH rung without the landmark bound: every ELB survivor is searched.
+  Config elb_ch_nolm = elb;
+  elb_ch_nolm.refine.distance_engine = DistanceEngine::kCh;
   // The CH rung keeps the full admissible prefilter stack (ELB + landmark
   // bounds) and swaps the engine answering the surviving queries, so its
   // settled column isolates the per-query win of the hierarchy.
   Config elb_ch = elb_lm;
   elb_ch.refine.distance_engine = DistanceEngine::kCh;
-  // The table rung batches each chunk's surviving endpoint pairs into one
-  // bucket fill; its sp-calls column counts table() fills, not searches.
-  Config elb_table = elb_lm;
-  elb_table.refine.distance_engine = DistanceEngine::kChTable;
   return {{"none", none},
           {"ELB", elb},
           {"ELB+landmark", elb_lm},
-          {"ELB+CH", elb_ch},
-          {"ELB+CHtable", elb_table}};
+          {"ELB+CH-nolm", elb_ch_nolm},
+          {"ELB+CH", elb_ch}};
 }
 
 /// Settled-node totals of the two accelerated rungs, accumulated across all
@@ -155,7 +156,7 @@ void run_city(const char* city, eval::ExperimentEnv& env, bench::BenchJson& json
 int main() {
   eval::print_scale_banner(
       std::cout,
-      "Figure 7: pruning ladder (none / ELB / ELB+landmark / ELB+CH / ELB+CHtable) in Phase 3");
+      "Figure 7: pruning ladder (none / ELB / ELB+landmark / ELB+CH-nolm / ELB+CH) in Phase 3");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
   bench::BenchJson json("fig7", env.object_scale(), env.network_scale());
   SettledTotals totals;

@@ -158,15 +158,13 @@ BENCHMARK(BM_OneToManyDistances)->Arg(0)->Arg(1)->Arg(2);
 
 /// Lazily built many-to-many fixture: the fig7 network (ATL, honoring
 /// NEAT_BENCH_NET_SCALE) with a hierarchy over it, plus a deterministic
-/// 256 x 256 endpoint workload — the matrix shape the refiner's batched
-/// chunks aggregate into.
+/// 256 x 256 endpoint workload — a whole-matrix `/v1/table` request.
 struct TableFixture {
   const roadnet::RoadNetwork& net;
   roadnet::ChEngine ch;
   std::vector<NodeId> sources;
   std::vector<NodeId> targets;
-  /// An ε-style search bound in the refiner's operating range: both kernels
-  /// run bounded, the regime the Phase 3 batching actually exercises. The
+  /// A `/v1/table?bound=` search bound: both kernels run bounded. The
   /// shared per-finite-cell resolution work (path unpack + re-sum, identical
   /// on both sides) grows with the bound and dilutes the merge-vs-join
   /// difference the kernels exist to measure.
@@ -190,8 +188,9 @@ struct TableFixture {
 };
 
 void BM_TableRepeatedOneToMany(benchmark::State& state) {
-  // The pre-table refiner pattern: one ChEngine::Query::distances() call per
-  // source, each merging the source label against all 256 target labels.
+  // The same matrix without the bucket join: one ChEngine::Query::distances()
+  // call per source, each merging the source label against all 256 target
+  // labels.
   const TableFixture& f = TableFixture::get();
   roadnet::ChEngine::Query query(f.ch);
   std::vector<double> out(f.targets.size(), 0.0);

@@ -7,7 +7,7 @@
 //   $ ./neat_cli --network net.csv --trajectories trips.csv
 //                [--columnar] [--mode base|flow|opt] [--epsilon M] [--min-card N|auto]
 //                [--wq X --wk Y --wv Z] [--beta B] [--no-elb]
-//                [--landmarks N] [--distance-engine dijkstra|alt|ch|ch-table]
+//                [--landmarks N] [--distance-engine dijkstra|alt|ch]
 //                [--threads N] [--refine-threads N]
 //                [--metrics-out metrics.prom] [--trace-out trace.json]
 //                [--profile-out profile.folded]
@@ -90,7 +90,7 @@ struct CliOptions {
             << "                [--columnar] [--mode base|flow|opt] [--epsilon METRES]\n"
             << "                [--min-card N|auto] [--wq X --wk Y --wv Z]\n"
             << "                [--beta B|inf] [--no-elb] [--landmarks N]\n"
-            << "                [--distance-engine dijkstra|alt|ch|ch-table]\n"
+            << "                [--distance-engine dijkstra|alt|ch]\n"
             << "                [--threads N] [--refine-threads N] [--out PREFIX]\n"
             << "                [--metrics-out FILE] [--trace-out FILE]\n"
             << "                [--profile-out FILE] [--admin-port PORT]\n"
@@ -157,10 +157,8 @@ CliOptions parse_args(int argc, char** argv) {
           if (v == "alt") opt.config.refine.use_landmarks = true;
         } else if (v == "ch") {
           opt.config.refine.distance_engine = DistanceEngine::kCh;
-        } else if (v == "ch-table") {
-          opt.config.refine.distance_engine = DistanceEngine::kChTable;
         } else {
-          usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch|ch-table)"));
+          usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch)"));
         }
       } else if (arg == "--metrics-out") {
         opt.metrics_out = next_value(i);

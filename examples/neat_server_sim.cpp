@@ -68,7 +68,7 @@ struct SimOptions {
   std::cerr << "error: " << error << "\n\n"
             << "usage: neat_server_sim [--admin-port PORT] [--query-port PORT]\n"
             << "                       [--sample-period-ms MS] [--linger-s SECONDS]\n"
-            << "                       [--distance-engine dijkstra|alt|ch|ch-table]\n"
+            << "                       [--distance-engine dijkstra|alt|ch]\n"
             << "                       [--profile-out FILE]\n"
             << "  --admin-port PORT       serve /metrics, /healthz, /readyz, /statusz\n"
             << "                          and /tracez on 127.0.0.1:PORT (0 = pick a\n"
@@ -144,10 +144,8 @@ SimOptions parse_args(int argc, char** argv) {
           if (v == "alt") opt.refine.use_landmarks = true;
         } else if (v == "ch") {
           opt.refine.distance_engine = DistanceEngine::kCh;
-        } else if (v == "ch-table") {
-          opt.refine.distance_engine = DistanceEngine::kChTable;
         } else {
-          usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch|ch-table)"));
+          usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch)"));
         }
       } else {
         usage(str_cat("unknown argument '", arg, "'"));
@@ -334,10 +332,6 @@ int main(int argc, char** argv) {
               << "% symbolized; render: python3 tools/fold2svg.py "
               << opt.profile_out << " profile.svg)\n";
   }
-
-  // --- operations: the legacy in-process JSON scrape still works; the live
-  // endpoints (when --admin-port is set) serve the same registry over HTTP.
-  std::cout << "metrics: " << metrics.to_json() << '\n';
 
   // --- durability: persist the served snapshot and a GeoJSON payload any
   // map client could render.

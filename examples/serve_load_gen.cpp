@@ -1,7 +1,8 @@
 // Load generator for the serving subsystem: N client threads fire queries
 // at a QueryEngine while a feeder thread keeps uploading trajectory batches
 // through the IngestService, so snapshots are republished under live read
-// traffic. Prints per-run throughput and the built-in metrics JSON.
+// traffic. Prints per-run throughput; the serve metrics (neat_serve_*) live
+// in the registry the admin plane's /metrics serves.
 //
 // Two modes:
 //   in-process (default)  clients call the QueryEngine directly — measures
@@ -129,15 +130,17 @@ int main(int argc, char** argv) {
 
   Config cfg;
   cfg.refine.epsilon = 1500.0;
+  // One private registry behind the serve metrics, the query edge and the
+  // admin plane, so /metrics carries every neat_serve_* family.
+  obs::Registry registry;
   serve::SnapshotStore store;
-  serve::Metrics metrics;
+  serve::Metrics metrics(&registry);
   serve::IngestService ingest(net, cfg, store, metrics);
   const serve::QueryEngine engine(net, store, &metrics);
 
   // The self-hosted HTTP edge of --http mode (idle otherwise). Ephemeral
   // port, worker pool sized to the client count so the clients, not the
   // server, are the bottleneck being exercised.
-  obs::Registry registry;
   sim::TripPlanner planner(net, roadnet::Metric::kDistance);
   net::QueryService service(net, engine, &planner, registry);
   net::HttpServerOptions sopts;
@@ -152,7 +155,7 @@ int main(int argc, char** argv) {
   }
 
   // Optional admin plane: lets an operator (or CI) hit /profilez while the
-  // load is in flight. Serves the same private registry as the query edge.
+  // load is in flight.
   std::unique_ptr<obs::HttpExporter> admin;
   if (admin_port >= 0) {
     obs::HttpExporterOptions hopts;
@@ -248,6 +251,5 @@ int main(int argc, char** argv) {
                 << " us\n";
     }
   }
-  std::cout << "metrics: " << metrics.to_json() << '\n';
   return 0;
 }

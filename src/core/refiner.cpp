@@ -122,10 +122,7 @@ void Refiner::set_ch_engine(std::shared_ptr<const roadnet::ChEngine> ch) {
 }
 
 const roadnet::ChEngine* Refiner::ch_engine() const {
-  if (config_.distance_engine != DistanceEngine::kCh &&
-      config_.distance_engine != DistanceEngine::kChTable) {
-    return nullptr;
-  }
+  if (config_.distance_engine != DistanceEngine::kCh) return nullptr;
   const std::lock_guard<std::mutex> lock(accel_mu_);
   if (!ch_) {
     // Undirected, metres — the same metric NodeDistanceOracle answers in.
@@ -137,10 +134,7 @@ const roadnet::ChEngine* Refiner::ch_engine() const {
 Refiner::DistanceContext Refiner::make_context() const {
   DistanceContext ctx{roadnet::NodeDistanceOracle(net_)};
   ctx.landmarks = landmark_oracle();
-  if (const roadnet::ChEngine* ch = ch_engine()) {
-    ctx.ch.emplace(*ch);
-    if (config_.distance_engine == DistanceEngine::kChTable) ctx.table.emplace(*ch);
-  }
+  if (const roadnet::ChEngine* ch = ch_engine()) ctx.ch.emplace(*ch);
   return ctx;
 }
 
@@ -327,10 +321,8 @@ void Refiner::evaluate_pairs(const std::vector<FlowCluster>& flows,
                              std::span<const FlowPair> pairs, DistanceContext& ctx,
                              std::span<double> dist, Phase3Output& counters) const {
   const bool endpoints = config_.distance_mode == FlowDistanceMode::kEndpoints;
-  const bool batched = ctx.table && endpoints;
   const std::size_t before = ctx.computations();
   const std::size_t before_settled = ctx.settled_nodes();
-  ctx.table_pairs.clear();
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     const FlowCluster& a = flows[pairs[k].i];
     const FlowCluster& b = flows[pairs[k].j];
@@ -344,40 +336,7 @@ void Refiner::evaluate_pairs(const std::vector<FlowCluster>& flows,
       continue;
     }
     ++counters.pairs_evaluated;
-    if (batched) {
-      ctx.table_pairs.push_back(k);
-    } else {
-      dist[k] = endpoints ? network_hausdorff(a, b, ctx) : network_route_hausdorff(a, b, ctx);
-    }
-  }
-
-  if (!ctx.table_pairs.empty()) {
-    // Batched many-to-many path (kChTable, endpoint mode): every remaining
-    // pair's four endpoint legs come from ONE table() fill over the chunk's
-    // endpoints (the table engine deduplicates shared junctions internally).
-    // Values are bit-identical to the per-pair path: the table resolves each
-    // cell by the same unpack-and-re-sum as ChEngine::Query, and under an ε
-    // bound a leg that bounds out is kInfDistance on both paths, so the
-    // assembled Hausdorff — and every merge decision downstream — cannot
-    // differ.
-    ctx.table_sources.clear();
-    ctx.table_targets.clear();
-    for (const std::size_t k : ctx.table_pairs) {
-      ctx.table_sources.push_back(flows[pairs[k].i].start_junction());
-      ctx.table_sources.push_back(flows[pairs[k].i].end_junction());
-      ctx.table_targets.push_back(flows[pairs[k].j].start_junction());
-      ctx.table_targets.push_back(flows[pairs[k].j].end_junction());
-    }
-    const double bound = config_.bound_searches_at_epsilon ? config_.epsilon : kInf;
-    ctx.table_cells.assign(ctx.table_sources.size() * ctx.table_targets.size(), kInf);
-    ctx.table->table(ctx.table_sources, ctx.table_targets, ctx.table_cells, bound);
-    const std::size_t stride = ctx.table_targets.size();
-    for (std::size_t m = 0; m < ctx.table_pairs.size(); ++m) {
-      const double* row1 = ctx.table_cells.data() + (2 * m) * stride;
-      const double* row2 = ctx.table_cells.data() + (2 * m + 1) * stride;
-      dist[ctx.table_pairs[m]] =
-          hausdorff_from_parts(row1[2 * m], row1[2 * m + 1], row2[2 * m], row2[2 * m + 1]);
-    }
+    dist[k] = endpoints ? network_hausdorff(a, b, ctx) : network_route_hausdorff(a, b, ctx);
   }
   counters.sp_computations += ctx.computations() - before;
   counters.settled_nodes += ctx.settled_nodes() - before_settled;
@@ -606,7 +565,7 @@ Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
     };
     parallel_for(candidates, config_.threads, kPairChunk, worker);
     // The counters are sums, so the totals do not depend on which worker
-    // took which chunk (settled_nodes under the CH engines aside).
+    // took which chunk (settled_nodes under kCh aside).
     for (const Phase3Output& c : worker_counters) add_counters(counters, c);
     counters.elb_pruned_pairs = total_pairs - candidates;
     pairs_span.arg("pairs", static_cast<std::uint64_t>(total_pairs));

@@ -18,10 +18,10 @@
 //    steer the surviving searches as A* potentials.
 // Neither prune ever changes a merge decision, only the work performed.
 //
-// Queries that survive pruning run on a configurable DistanceEngine ladder
-// (Dijkstra, run as ALT-steered A* when landmarks are on, or Contraction
-// Hierarchies); every rung returns the same distances, so clusters are
-// bit-identical across engines.
+// Pairs that survive pruning are evaluated one at a time on one of three
+// rungs of the distance ladder: Dijkstra, ALT (the same Dijkstra steered by
+// the landmark tables) or Contraction Hierarchies. Every rung returns the
+// same distances, so clusters are bit-identical across engines.
 //
 // refine() never visits all n(n-1)/2 pairs. With ELB on, a uniform grid of
 // ε-wide cells over the points the ELB key measures yields the candidate
@@ -43,7 +43,6 @@
 
 #include "core/flow_cluster.h"
 #include "roadnet/ch_engine.h"
-#include "roadnet/ch_table.h"
 #include "roadnet/road_network.h"
 #include "roadnet/shortest_path.h"
 
@@ -72,12 +71,6 @@ enum class DistanceEngine {
   /// bidirectional upward searches that settle orders of magnitude fewer
   /// nodes per query (roadnet::ChEngine).
   kCh,
-  /// CH plus bucket-based many-to-many tables (roadnet::CHTableEngine): the
-  /// endpoint-mode refiner batches each chunk's surviving pairs into one
-  /// table() fill — O(endpoints) upward searches instead of O(pairs) label
-  /// merges. Distances, and therefore clusters, stay bit-identical to every
-  /// other rung; full-route mode falls back to per-pair CH queries.
-  kChTable,
 };
 
 /// Parameters of Phase 3.
@@ -152,8 +145,8 @@ class Refiner {
   /// memory are O(n + candidate pairs); the n(n-1)/2 pairs are never
   /// enumerated unless ELB is off. Deterministic:
   /// clusters and counters are identical at any thread count, except
-  /// settled_nodes under kCh/kChTable, where each worker memoizes hub
-  /// labels and the total depends on how chunks land on workers.
+  /// settled_nodes under kCh, where each worker memoizes hub labels and the
+  /// total depends on how chunks land on workers.
   [[nodiscard]] Phase3Output refine(const std::vector<FlowCluster>& flows) const;
 
   /// Network (modified Hausdorff) distance between two flow clusters under
@@ -180,41 +173,29 @@ class Refiner {
   // --- building blocks of refine(), exposed for benches and tools ----------
 
   /// Per-thread distance-evaluation workspace: a Dijkstra/ALT oracle plus,
-  /// under DistanceEngine::kCh/kChTable, a query head (and for kChTable a
-  /// table engine) bound to the shared hierarchy. Obtain via make_context();
-  /// not thread safe, create one per thread.
+  /// under DistanceEngine::kCh, a query head bound to the shared hierarchy.
+  /// Obtain via make_context(); not thread safe, create one per thread.
   struct DistanceContext {
     roadnet::NodeDistanceOracle oracle;
     std::optional<roadnet::ChEngine::Query> ch{};
-    std::optional<roadnet::CHTableEngine> table{};
     /// The refiner's landmark oracle (nullptr when landmarks are off),
     /// resolved once so the per-pair work never takes the refiner's lock.
     const roadnet::LandmarkOracle* landmarks{nullptr};
-    // Batched-table scratch, reused across chunks. Kept beside the engines
-    // so the spans handed to table() are per-thread and provably disjoint
-    // from the caller's outputs.
-    std::vector<NodeId> table_sources{};
-    std::vector<NodeId> table_targets{};
-    std::vector<double> table_cells{};
-    std::vector<std::size_t> table_pairs{};  ///< Chunk slot of each batched pair.
 
     [[nodiscard]] std::size_t computations() const {
-      return oracle.computations() + (ch ? ch->computations() : 0) +
-             (table ? table->computations() : 0);
+      return oracle.computations() + (ch ? ch->computations() : 0);
     }
     [[nodiscard]] std::size_t settled_nodes() const {
-      return oracle.settled_nodes() + (ch ? ch->settled_nodes() : 0) +
-             (table ? table->settled_nodes() : 0);
+      return oracle.settled_nodes() + (ch ? ch->settled_nodes() : 0);
     }
   };
 
   /// Candidate pairs per chunk claimed by refine()'s workers, and ELB
-  /// survivors per evaluation block of fill_pair_distances(). One constant
-  /// keeps the chunk boundaries — and with them the kChTable batching and
-  /// every deterministic counter — identical at any thread count. Large
-  /// enough to amortize the claim atomic and the per-chunk table fill, small
-  /// enough that an unlucky worker stuck with expensive pairs cannot stall
-  /// the others at the end of the candidate list.
+  /// survivors per evaluation block of fill_pair_distances(). A constant,
+  /// so the chunk boundaries do not depend on the thread count. Large
+  /// enough to amortize the claim atomic, small enough that an unlucky
+  /// worker stuck with expensive pairs cannot stall the others at the end
+  /// of the candidate list.
   static constexpr std::size_t kPairChunk = 64;
 
   /// Builds a workspace for the configured engine. Under kCh this triggers
@@ -228,8 +209,7 @@ class Refiner {
   /// Pair (i, j), i < j, lives at index i * n - i * (i + 1) / 2 + (j - i - 1).
   /// Pruned pairs read +inf. Applies the ELB test to every pair, then
   /// evaluates the survivors kPairChunk at a time, in matrix order, with the
-  /// per-chunk code refine() runs (one CHTableEngine::table() fill per chunk
-  /// under kChTable, endpoint mode). refine() itself never builds this
+  /// per-chunk code refine() runs. refine() itself never builds this
   /// matrix; benches and tests use it as an independent oracle.
   void fill_pair_distances(const std::vector<FlowCluster>& flows, std::size_t begin,
                            std::size_t end, DistanceContext& ctx,
@@ -251,12 +231,12 @@ class Refiner {
   [[nodiscard]] const roadnet::LandmarkOracle* landmark_oracle() const;
 
   /// Pre-seeds the contraction hierarchy (e.g. to amortize one build across
-  /// refiners or batches). Ignored unless distance_engine is kCh/kChTable;
-  /// the engine must be undirected over the same network.
+  /// refiners or batches). Ignored unless distance_engine is kCh; the
+  /// engine must be undirected over the same network.
   void set_ch_engine(std::shared_ptr<const roadnet::ChEngine> ch);
 
   /// The hierarchy used by this refiner: nullptr unless distance_engine is
-  /// kCh/kChTable, otherwise the seeded or lazily built instance. Thread safe.
+  /// kCh, otherwise the seeded or lazily built instance. Thread safe.
   [[nodiscard]] const roadnet::ChEngine* ch_engine() const;
 
   [[nodiscard]] const RefineConfig& config() const { return config_; }
@@ -275,8 +255,8 @@ class Refiner {
   /// instead of a scan over all pairs.
   std::vector<FlowPair> elb_survivors(const std::vector<FlowCluster>& flows) const;
   /// Evaluates pairs that already passed ELB into dist[k] (+inf when the
-  /// landmark bound prunes pairs[k]); at most one table() fill under
-  /// kChTable, endpoint mode. Work counters accumulate into `counters`.
+  /// landmark bound prunes pairs[k]), one pair at a time. Work counters
+  /// accumulate into `counters`.
   void evaluate_pairs(const std::vector<FlowCluster>& flows, std::span<const FlowPair> pairs,
                       DistanceContext& ctx, std::span<double> dist,
                       Phase3Output& counters) const;

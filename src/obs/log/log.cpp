@@ -1,6 +1,8 @@
 #include "obs/log/log.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -15,26 +17,53 @@ namespace neat::obs::log {
 
 namespace {
 
-// The calling thread's claimed rings, one slot per Logger this thread has
-// logged to. Trivially constructed/destroyed (plain zero-init), so access
-// is a constant offset from the thread pointer with no TLS guard branch —
-// the property the signal-safe path (try_log_signal_safe) depends on.
+// The calling thread's rings, one entry per logger slot. Every live Logger
+// holds one of Logger::kMaxLiveLoggers process-wide slots and gives it back
+// on destruction, so the table bounds the loggers alive at once, not every
+// logger a thread has ever used. An entry belongs to the slot's current
+// holder only while its `logger_id` matches: the next holder of a slot has
+// a fresh id, so it never picks up the previous holder's (freed) ring.
+// Trivially constructed/destroyed (plain zero-init), so access is a
+// constant offset from the thread pointer with no TLS guard branch — the
+// property the signal-safe path (try_log_signal_safe) depends on.
 // `in_log` is the reentrancy guard: while a Statement on this thread is
 // mid-push, a signal handler must not push to the same SPSC ring.
-inline constexpr std::size_t kMaxLoggersPerThread = 8;
-
 struct TlsEntry {
   std::uint64_t logger_id;
   RecordRing* ring;
 };
 
 struct TlsSlots {
-  TlsEntry entries[kMaxLoggersPerThread];
-  std::uint32_t count;
+  TlsEntry entries[Logger::kMaxLiveLoggers];
   std::uint32_t in_log;
 };
 
 thread_local TlsSlots t_slots;
+
+/// Bit s is set while slot s is held by a live Logger.
+std::atomic<std::uint32_t> g_live_slots{0};
+
+/// Takes the lowest free slot, or returns kMaxLiveLoggers when none is free.
+std::uint32_t acquire_slot() {
+  constexpr std::uint32_t kAll = (1u << Logger::kMaxLiveLoggers) - 1;
+  std::uint32_t used = g_live_slots.load(std::memory_order_relaxed);
+  for (;;) {
+    const std::uint32_t free = ~used & kAll;
+    if (free == 0) return Logger::kMaxLiveLoggers;
+    const std::uint32_t slot = static_cast<std::uint32_t>(std::countr_zero(free));
+    if (g_live_slots.compare_exchange_weak(used, used | (1u << slot),
+                                           std::memory_order_acq_rel,
+                                           std::memory_order_relaxed)) {
+      return slot;
+    }
+  }
+}
+
+void release_slot(std::uint32_t slot) {
+  if (slot < Logger::kMaxLiveLoggers) {
+    g_live_slots.fetch_and(~(1u << slot), std::memory_order_acq_rel);
+  }
+}
 
 std::uint64_t next_logger_id() {
   static std::atomic<std::uint64_t> next{1};
@@ -130,6 +159,7 @@ Logger::Logger(LoggerOptions options)
     : options_(options),
       registry_(options.registry != nullptr ? options.registry : &Registry::global()),
       id_(next_logger_id()),
+      slot_(acquire_slot()),
       default_level_(static_cast<std::uint8_t>(options.default_level)),
       out_file_(nullptr, &std::fclose) {
   options_.ring_slots = std::max<std::size_t>(2, options_.ring_slots);
@@ -159,6 +189,7 @@ Logger::~Logger() {
   }
   writer_cv_.notify_one();
   if (writer_.joinable()) writer_.join();
+  release_slot(slot_);
 }
 
 Logger& Logger::global() {
@@ -251,22 +282,26 @@ void Logger::flush() {
 }
 
 RecordRing* Logger::local_ring() {
-  TlsSlots& tls = t_slots;
-  for (std::uint32_t i = 0; i < tls.count; ++i) {
-    if (tls.entries[i].logger_id == id_) return tls.entries[i].ring;
-  }
-  if (tls.count >= kMaxLoggersPerThread) return nullptr;
-  auto ring = std::make_shared<RecordRing>();
-  ring->slots = std::make_unique<Record[]>(options_.ring_slots);
+  if (slot_ >= kMaxLiveLoggers) return nullptr;
+  TlsEntry& entry = t_slots.entries[slot_];
+  if (entry.logger_id == id_) return entry.ring;
+  auto owned = std::make_unique<ThreadRing>();
+  owned->records = std::make_unique<Record[]>(options_.ring_slots);
+  RecordRing* ring = &owned->ring;
+  ring->slots = owned->records.get();
   ring->capacity = options_.ring_slots;
   ring->tid = next_tid_.fetch_add(1, std::memory_order_relaxed);
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    rings_.push_back(ring);
+    rings_.push_back(std::move(owned));
   }
-  tls.entries[tls.count] = {id_, ring.get()};
-  tls.count += 1;
-  return ring.get();
+  // A signal handler on this thread may read the entry between the two
+  // stores. Storing the ring first means it never sees this logger's id
+  // beside the slot's previous ring.
+  entry.ring = ring;
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+  entry.logger_id = id_;
+  return ring;
 }
 
 bool Logger::try_log_signal_safe(Level level, Module& module,
@@ -274,14 +309,10 @@ bool Logger::try_log_signal_safe(Level level, Module& module,
   if (!module.enabled(level)) return true;  // Filtered: nothing to write anywhere.
   TlsSlots& tls = t_slots;
   if (tls.in_log != 0) return false;  // Interrupted a statement mid-push.
-  RecordRing* ring = nullptr;
-  for (std::uint32_t i = 0; i < tls.count; ++i) {
-    if (tls.entries[i].logger_id == id_) {
-      ring = tls.entries[i].ring;
-      break;
-    }
+  if (slot_ >= kMaxLiveLoggers || tls.entries[slot_].logger_id != id_) {
+    return false;  // Registration would lock + allocate.
   }
-  if (ring == nullptr) return false;  // Registration would lock + allocate.
+  RecordRing* ring = tls.entries[slot_].ring;
   Record* r = ring->begin_push();
   if (r == nullptr) {
     count_drop(module);
@@ -371,14 +402,17 @@ void Logger::writer_loop() {
 }
 
 std::size_t Logger::sweep(bool final_sweep) {
-  std::vector<std::shared_ptr<RecordRing>> rings;
+  // rings_ only grows while the logger lives, so the pointers stay valid
+  // after the lock is dropped.
+  std::vector<RecordRing*> rings;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    rings = rings_;
+    rings.reserve(rings_.size());
+    for (const auto& owned : rings_) rings.push_back(&owned->ring);
   }
   std::vector<Record> batch;
   Record r;
-  for (const auto& ring : rings) {
+  for (RecordRing* ring : rings) {
     while (ring->pop(r)) batch.push_back(r);
   }
   // Records from different threads interleave by wall clock; within one

@@ -2,7 +2,7 @@
 // (counters live in obs/registry.h, spans in obs/trace.h).
 //
 // A log statement formats into a fixed-size Record on the calling thread's
-// lock-free SPSC ring (src/obs/log/ring.h, the profiler's ring design) and
+// lock-free SPSC ring (obs/spsc_ring.h, shared with the profiler) and
 // returns; a background writer thread drains every ring, orders the batch
 // by wall clock and emits one JSON line per record to the sink (stderr, a
 // file, or a test callback). The hot path never allocates, locks or
@@ -63,7 +63,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/log/ring.h"
+#include "obs/log/record.h"
 #include "obs/registry.h"
 
 namespace neat::obs::log {
@@ -141,6 +141,11 @@ using Sink = std::function<void(std::string_view line)>;
 /// destroyed (automatic for the global instance).
 class Logger {
  public:
+  /// Loggers that can be alive at once. Each holds one process-wide slot
+  /// from construction to destruction; a logger constructed while every
+  /// slot is taken drops (and counts) each record sent to it.
+  static constexpr std::uint32_t kMaxLiveLoggers = 8;
+
   explicit Logger(LoggerOptions options = {});
   ~Logger();
 
@@ -202,7 +207,8 @@ class Logger {
   // --- implementation surface for Statement and the signal-safe path.
 
   /// The calling thread's ring for this logger, registered on first use.
-  /// Returns nullptr only when the logger is shutting down.
+  /// Returns nullptr only when this logger holds no slot (kMaxLiveLoggers
+  /// other loggers were alive when it was constructed).
   RecordRing* local_ring();
 
   /// Emits a preformatted message from an async-signal context: uses the
@@ -234,9 +240,20 @@ class Logger {
   void write_line(std::string_view line);
   Counter& line_counter(Level level);
 
+  /// One thread's ring and the records it points into.
+  struct ThreadRing {
+    RecordRing ring;
+    std::unique_ptr<Record[]> records;
+  };
+
   LoggerOptions options_;
   Registry* registry_;  ///< Resolved (never null).
-  const std::uint64_t id_;  ///< Distinguishes loggers in the thread-local cache.
+  /// Process-wide unique, never reused: tells this logger's thread-local
+  /// entries apart from those of an earlier holder of the same slot.
+  const std::uint64_t id_;
+  /// Index of this logger's thread-local entry, held until destruction;
+  /// kMaxLiveLoggers when every slot was taken.
+  const std::uint32_t slot_;
 
   // Module table: append-only, published via count_ so statements scan it
   // lock-free; registration serializes on mu_.
@@ -246,7 +263,7 @@ class Logger {
   std::atomic<std::uint8_t> default_level_;
 
   mutable std::mutex mu_;  ///< Guards registration + rings_ + sink state.
-  std::vector<std::shared_ptr<RecordRing>> rings_;
+  std::vector<std::unique_ptr<ThreadRing>> rings_;  ///< Freed with the logger.
   std::atomic<std::uint32_t> next_tid_{1};
   Sink sink_;                       ///< Guarded by mu_.
   std::unique_ptr<std::FILE, int (*)(std::FILE*)> out_file_;  ///< Guarded by mu_.

@@ -10,7 +10,7 @@
 #include "common/error.h"
 #include "common/string_util.h"
 #include "obs/log/log.h"
-#include "obs/prof/ring.h"
+#include "obs/prof/sample.h"
 #include "obs/prof/symbolize.h"
 #include "obs/registry.h"
 

@@ -13,7 +13,7 @@
 // process_vm_readv (a syscall that returns EFAULT instead of faulting on a
 // wild pointer, so a garbage %rbp in a leaf function can never crash the
 // process), and pushes the stack into the calling thread's lock-free SPSC
-// ring (obs/prof/ring.h). Rings live in one slab preallocated at start();
+// ring (obs/prof/sample.h). Rings live in one slab preallocated at start();
 // a thread claims its ring on first sample through initial-exec TLS (a
 // plain offset-from-thread-pointer read, safe in a handler). Full rings
 // and slab exhaustion drop the sample, bump

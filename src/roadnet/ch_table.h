@@ -16,8 +16,8 @@
 // is resolved by unpacking the winning up-down path and re-summing its base
 // arcs sequentially from the source. Bounded fills keep the Dijkstra
 // contract — the exact distance when it is <= bound, kInfDistance otherwise
-// — and the bound prunes both sweeps (early termination), so ε-bounded
-// refiner tables never build labels past ε.
+// — and the bound prunes both sweeps (early termination), so a
+// `/v1/table?bound=` fill never builds labels past its bound.
 //
 // Not thread safe; create one per thread over a shared immutable ChEngine.
 #pragma once

@@ -43,9 +43,9 @@ void full_sssp(const RoadNetwork& net, NodeId source, std::span<double> out) {
   }
 }
 
-/// The node with the largest finite value in `dist` that is not yet used
-/// (used nodes are marked with a negative sentinel in `eligible`), smallest
-/// id on ties. Returns NodeId::invalid() when every finite node is used.
+/// The node with the largest finite value in `dist` whose `used` flag is
+/// clear, smallest id on ties. Returns NodeId::invalid() when every finite
+/// node is used.
 NodeId farthest_node(std::span<const double> dist, std::span<const char> used) {
   NodeId best = NodeId::invalid();
   double best_d = -1.0;

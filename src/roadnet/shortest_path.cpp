@@ -216,58 +216,6 @@ std::optional<Route> shortest_route(const RoadNetwork& net, NodeId s, NodeId t,
   return route;
 }
 
-SsspTree::SsspTree(const RoadNetwork& net, NodeId source, Metric metric)
-    : net_(net),
-      source_(source),
-      cost_(net.node_count(), kInfDistance),
-      parent_edge_(net.node_count(), EdgeId::invalid()) {
-  static_cast<void>(net.node(source));
-  const auto idx = [](NodeId x) { return static_cast<std::size_t>(x.value()); };
-  cost_[idx(source)] = 0.0;
-  MinHeap heap;
-  heap.emplace(0.0, source.value());
-  while (!heap.empty()) {
-    const auto [d, u_raw] = heap.top();
-    heap.pop();
-    const auto u = NodeId(u_raw);
-    if (d > cost_[idx(u)]) continue;
-    for (const EdgeId eid : net.out_edges(u)) {
-      const DirectedEdge& e = net.edge(eid);
-      const double nd = d + edge_weight(net, e, metric);
-      if (nd < cost_[idx(e.to)]) {
-        cost_[idx(e.to)] = nd;
-        parent_edge_[idx(e.to)] = eid;
-        heap.emplace(nd, e.to.value());
-      }
-    }
-  }
-}
-
-bool SsspTree::reachable(NodeId t) const { return cost(t) < kInfDistance; }
-
-double SsspTree::cost(NodeId t) const {
-  static_cast<void>(net_.node(t));
-  return cost_[static_cast<std::size_t>(t.value())];
-}
-
-std::optional<Route> SsspTree::route_to(NodeId t) const {
-  if (!reachable(t)) return std::nullopt;
-  Route route;
-  const auto idx = [](NodeId x) { return static_cast<std::size_t>(x.value()); };
-  for (NodeId cur = t; cur != source_;) {
-    const EdgeId eid = parent_edge_[idx(cur)];
-    route.edges.push_back(eid);
-    cur = net_.edge(eid).from;
-  }
-  std::reverse(route.edges.begin(), route.edges.end());
-  for (const EdgeId eid : route.edges) {
-    const Segment& seg = net_.segment(net_.edge(eid).sid);
-    route.length += seg.length;
-    route.travel_time += seg.length / seg.speed_limit;
-  }
-  return route;
-}
-
 std::optional<Route> astar_route(const RoadNetwork& net, NodeId s, NodeId t,
                                  Metric metric) {
   static_cast<void>(net.node(s));

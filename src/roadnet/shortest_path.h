@@ -145,35 +145,12 @@ struct NetworkLocation {
 [[nodiscard]] double location_distance(const RoadNetwork& net, NetworkLocation a,
                                        NetworkLocation b);
 
-/// Single-source shortest-path tree over directed edges. Used by the
-/// mobility simulator to answer all trips leaving one hotspot with a single
-/// Dijkstra run.
-class SsspTree {
- public:
-  SsspTree(const RoadNetwork& net, NodeId source, Metric metric);
-
-  [[nodiscard]] NodeId source() const { return source_; }
-  [[nodiscard]] bool reachable(NodeId t) const;
-
-  /// Cost (metres or seconds, per the metric) from the source, or
-  /// kInfDistance when unreachable.
-  [[nodiscard]] double cost(NodeId t) const;
-
-  /// Route from the source to `t`, or std::nullopt when unreachable.
-  [[nodiscard]] std::optional<Route> route_to(NodeId t) const;
-
- private:
-  const RoadNetwork& net_;
-  NodeId source_;
-  std::vector<double> cost_;
-  std::vector<EdgeId> parent_edge_;
-};
-
 /// All-origins-to-one-target shortest-path tree over directed edges (a
-/// Dijkstra run on the reversed graph). Used by the mobility simulator:
-/// trip destinations come from a small predefined set, so one reverse tree
-/// per destination answers every trip toward it in O(route length) —
-/// regardless of how many distinct origins the hotspot regions produce.
+/// Dijkstra run on the reversed graph). sim::TripPlanner routes the mobility
+/// simulator's trips with it: trip destinations come from a small predefined
+/// set, so one reverse tree per destination answers every trip toward it in
+/// O(route length) — regardless of how many distinct origins the hotspot
+/// regions produce.
 class ReverseSsspTree {
  public:
   ReverseSsspTree(const RoadNetwork& net, NodeId target, Metric metric);

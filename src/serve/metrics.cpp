@@ -1,7 +1,6 @@
 #include "serve/metrics.h"
 
 #include <chrono>
-#include <sstream>
 
 namespace neat::serve {
 
@@ -111,48 +110,6 @@ MetricsSnapshot Metrics::snapshot() const {
   s.snapshot_version = snapshot_version();
   s.snapshot_age_s = snapshot_age_seconds();
   return s;
-}
-
-namespace {
-
-void append_histogram_json(std::ostringstream& out, const LatencyHistogram& h) {
-  out << "{\"count\":" << h.count() << ",\"buckets_us\":[";
-  // Trailing empty buckets are elided; emitted entries are cumulative-free
-  // raw counts, bucket i spanning up to 2^i µs.
-  std::size_t last = 0;
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (h.bucket_count(i) > 0) last = i;
-  }
-  for (std::size_t i = 0; i <= last; ++i) {
-    if (i > 0) out << ',';
-    out << h.bucket_count(i);
-  }
-  out << "]}";
-}
-
-}  // namespace
-
-std::string Metrics::to_json() const {
-  const MetricsSnapshot s = snapshot();
-  std::ostringstream out;
-  out.precision(9);
-  out << "{\"queries\":{\"total\":" << s.queries_total
-      << ",\"nearest_flow\":" << s.nearest_flow_queries
-      << ",\"segment_flows\":" << s.segment_queries
-      << ",\"top_k\":" << s.top_k_queries
-      << ",\"empty_snapshot\":" << s.empty_snapshot_queries
-      << ",\"latency_s\":{\"p50\":" << s.query_p50_s << ",\"p99\":" << s.query_p99_s
-      << ",\"mean\":" << s.query_mean_s << "},\"histogram\":";
-  append_histogram_json(out, query_latency_);
-  out << "},\"ingest\":{\"batches\":" << s.batches_ingested
-      << ",\"rejected\":" << s.batches_rejected << ",\"failed\":" << s.batches_failed
-      << ",\"trajectories\":" << s.trajectories_ingested
-      << ",\"latency_s\":{\"p50\":" << s.ingest_p50_s << ",\"mean\":" << s.ingest_mean_s
-      << "},\"histogram\":";
-  append_histogram_json(out, ingest_latency_);
-  out << "},\"snapshot\":{\"version\":" << s.snapshot_version
-      << ",\"age_s\":" << s.snapshot_age_s << "}}";
-  return out.str();
 }
 
 }  // namespace neat::serve

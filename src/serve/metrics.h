@@ -12,15 +12,13 @@
 // increment on a cached series reference, so recording from many query
 // threads never serializes them. The latency histograms are the shared
 // log2-bucket design (obs::Log2Histogram) — bucket i counts observations in
-// [2^(i-1), 2^i) µs. The JSON schema of to_json() predates the registry and
-// is kept byte-compatible; it is documented in DESIGN.md §"Serving
-// architecture".
+// [2^(i-1), 2^i) µs. The registry's Prometheus text is the one export
+// format; snapshot() is the typed in-process read.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "obs/registry.h"
 
@@ -30,7 +28,7 @@ namespace neat::serve {
 /// the design now shared with the whole pipeline through obs::Log2Histogram.
 using LatencyHistogram = obs::Log2Histogram;
 
-/// One coherent read of every serving metric, for export.
+/// One coherent read of every serving metric, for in-process callers.
 struct MetricsSnapshot {
   std::uint64_t queries_total{0};
   std::uint64_t nearest_flow_queries{0};
@@ -95,11 +93,6 @@ class Metrics {
 
   /// A coherent-enough point-in-time read of every gauge.
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  /// Serializes snapshot() plus both raw histograms as a JSON object (schema
-  /// in DESIGN.md; unchanged by the registry migration except `age_s`,
-  /// which is -1 before the first publish).
-  [[nodiscard]] std::string to_json() const;
 
  private:
   std::unique_ptr<obs::Registry> owned_;  ///< Present when no registry was passed.

@@ -235,9 +235,9 @@ TEST(ChTable, TightBoundsTerminateSearchesEarly) {
 }
 
 TEST(ChTable, DuplicateEndpointsAreDeduplicated) {
-  // The refiner's chunks batch flow endpoints, and adjacent flows routinely
-  // share junctions (one flow's end is the next flow's start). Duplicates
-  // must cost nothing extra and every copy of a row must agree.
+  // A `/v1/table` request may repeat a junction in `sources=` or
+  // `targets=`. Duplicates must cost nothing extra and every copy of a row
+  // must agree.
   const RoadNetwork net = make_grid(8, 8, 120.0);
   const ChEngine ch(net);
   const std::vector<NodeId> uniq_sources{NodeId(0), NodeId(9), NodeId(40),
@@ -317,8 +317,8 @@ TEST(ChTable, CountersTrackFillsAndCacheHits) {
 }
 
 TEST(ChTableConcurrency, PerThreadEnginesOverOneSharedHierarchy) {
-  // The refiner's parallel shape: one immutable ChEngine, one CHTableEngine
-  // per worker, each filling its own chunk's table.
+  // The documented threading contract: one immutable ChEngine, one
+  // CHTableEngine per thread, each filling its own table concurrently.
   const RoadNetwork net = make_grid(15, 15, 100.0);
   const ChEngine ch(net);
   constexpr int kThreads = 4;

@@ -268,6 +268,31 @@ TEST(Logger, FullRingDropsAndCountsInsteadOfBlocking) {
   }
 }
 
+TEST(Logger, LoggersUsedInTurnOnOneThreadEachKeepTheirRing) {
+  // More loggers than Logger::kMaxLiveLoggers built, used and destroyed in
+  // turn on one thread: the per-thread ring table bounds the loggers alive
+  // at once, so the last ones log like the first.
+  constexpr std::uint64_t kLoggers = Logger::kMaxLiveLoggers + 2;
+  for (std::uint64_t k = 0; k < kLoggers; ++k) {
+    Registry reg;
+    Capture cap;
+    Logger logger(quiet_options(&reg));
+    logger.set_sink(cap.sink());
+    Module& mod = logger.module("seq");
+    // No ring on this thread yet: the signal-safe path must refuse rather
+    // than push into the ring an earlier logger left behind.
+    EXPECT_FALSE(logger.try_log_signal_safe(Level::kInfo, mod, "early")) << k;
+    Statement(logger, Level::kInfo, "seq").msg("statement").kv("k", k);
+    EXPECT_TRUE(logger.try_log_signal_safe(Level::kInfo, mod, "signal-safe")) << k;
+    logger.flush();
+    EXPECT_EQ(logger.dropped(), 0u) << k;
+    const std::vector<std::string> lines = cap.snapshot();
+    ASSERT_EQ(lines.size(), 2u) << k;
+    EXPECT_NE(lines[0].find("\"msg\":\"statement\""), std::string::npos) << lines[0];
+    EXPECT_NE(lines[1].find("\"msg\":\"signal-safe\""), std::string::npos) << lines[1];
+  }
+}
+
 TEST(Logger, SuppressesRepeatsAndSummarizes) {
   Registry reg;
   Capture cap;

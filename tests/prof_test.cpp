@@ -18,7 +18,7 @@
 #include "core/clusterer.h"
 #include "obs/http_exporter.h"
 #include "obs/prof/profiler.h"
-#include "obs/prof/ring.h"
+#include "obs/prof/sample.h"
 #include "obs/prof/symbolize.h"
 #include "obs/registry.h"
 #include "roadnet/generators.h"

@@ -183,14 +183,13 @@ TEST(PruningMetamorphic, BoundedSearchesMatchUnbounded) {
 }
 
 TEST(DistanceEngineMetamorphic, EngineAndThreadCountNeverChangeClusters) {
-  // The ladder contract across both axes at once: swapping the distance
-  // engine must never change the clustering, and within one engine the
-  // thread count must never change the counters either. The prune decisions
-  // (ELB, landmark) run before any engine touches a pair, so
-  // elb/lm_pruned/pairs_evaluated are engine-invariant; sp_computations and
-  // settled_nodes are work proxies with engine-specific units (the table
-  // rung counts bucket fills, not searches) and are only compared within an
-  // engine.
+  // The ladder contract across both axes at once: swapping the rung must
+  // never change the clustering, and within one rung the thread count must
+  // never change the counters either. The prune decisions (ELB, landmark)
+  // run before any engine touches a pair, and every rung issues one search
+  // per surviving leg, so at the same landmark setting the prune counters,
+  // pairs_evaluated and sp_computations are engine-invariant; settled_nodes
+  // is a work proxy and is only compared within a rung.
   const Workload w = make_workload(10, 10, 83, 89, 60);
   ASSERT_GT(w.flows.size(), 3u);
 
@@ -199,17 +198,30 @@ TEST(DistanceEngineMetamorphic, EngineAndThreadCountNeverChangeClusters) {
   base.use_landmarks = true;
   const Phase3Output reference = Refiner(w.net, base).refine(w.flows);
 
-  // base.use_landmarks is on, so the kDijkstra rung runs as ALT.
-  for (const DistanceEngine engine :
-       {DistanceEngine::kDijkstra, DistanceEngine::kCh, DistanceEngine::kChTable}) {
+  struct Rung {
+    const char* name;
+    DistanceEngine engine;
+    bool landmarks;
+  };
+  for (const Rung& rung : {Rung{"dijkstra", DistanceEngine::kDijkstra, false},
+                           Rung{"alt", DistanceEngine::kDijkstra, true},
+                           Rung{"ch", DistanceEngine::kCh, true}}) {
     RefineConfig cfg = base;
-    cfg.distance_engine = engine;
+    cfg.distance_engine = rung.engine;
+    cfg.use_landmarks = rung.landmarks;
     const Phase3Output serial = Refiner(w.net, cfg).refine(w.flows);
-    const char* what = engine == DistanceEngine::kChTable ? "ch-table" : "engine";
+    const char* what = rung.name;
     expect_same_clusters(reference, serial, what);
     EXPECT_EQ(serial.elb_pruned_pairs, reference.elb_pruned_pairs) << what;
-    EXPECT_EQ(serial.lm_pruned_pairs, reference.lm_pruned_pairs) << what;
-    EXPECT_EQ(serial.pairs_evaluated, reference.pairs_evaluated) << what;
+    if (rung.landmarks) {
+      EXPECT_EQ(serial.lm_pruned_pairs, reference.lm_pruned_pairs) << what;
+      EXPECT_EQ(serial.pairs_evaluated, reference.pairs_evaluated) << what;
+      EXPECT_EQ(serial.sp_computations, reference.sp_computations) << what;
+    } else {
+      EXPECT_EQ(serial.lm_pruned_pairs, 0u) << what;
+      EXPECT_EQ(serial.pairs_evaluated, reference.pairs_evaluated + reference.lm_pruned_pairs)
+          << what;
+    }
 
     for (const unsigned threads : {1u, 2u, 8u}) {
       RefineConfig pcfg = cfg;
@@ -221,9 +233,9 @@ TEST(DistanceEngineMetamorphic, EngineAndThreadCountNeverChangeClusters) {
       EXPECT_EQ(parallel.lm_pruned_pairs, serial.lm_pruned_pairs) << what;
       EXPECT_EQ(parallel.pairs_evaluated, serial.pairs_evaluated) << what;
       // settled_nodes depends on which worker's memoized label cache each
-      // chunk lands in for the hub-label engines; it is thread-invariant
-      // only for the per-pair-independent rungs.
-      if (engine == DistanceEngine::kDijkstra) {
+      // chunk lands in under CH; it is thread-invariant only for the
+      // per-pair-independent Dijkstra searches.
+      if (rung.engine == DistanceEngine::kDijkstra) {
         EXPECT_EQ(parallel.settled_nodes, serial.settled_nodes) << what;
       } else {
         EXPECT_GT(parallel.settled_nodes, 0u) << what;
@@ -319,9 +331,8 @@ Workload make_grid_flows(int rows, int cols, double spacing, Point origin,
 }
 
 // refine() against the dense reference evaluator: the same clusters and every
-// counter except settled_nodes and kChTable's sp_computations, at 1, 2 and 8
-// threads; elb_pruned_pairs also against a brute-force count of the ELB key,
-// which is returned.
+// counter except settled_nodes, at 1, 2 and 8 threads; elb_pruned_pairs also
+// against a brute-force count of the ELB key, which is returned.
 std::size_t expect_refine_matches_dense(const Workload& w, const RefineConfig& cfg,
                                         const std::shared_ptr<const roadnet::ChEngine>& ch,
                                         const std::shared_ptr<const roadnet::LandmarkOracle>& lm,
@@ -367,9 +378,7 @@ std::size_t expect_refine_matches_dense(const Workload& w, const RefineConfig& c
     EXPECT_EQ(out.elb_pruned_pairs, elb_pruned) << at;
     EXPECT_EQ(out.lm_pruned_pairs, dense_counters.lm_pruned_pairs) << at;
     EXPECT_EQ(out.pairs_evaluated, dense_counters.pairs_evaluated) << at;
-    if (cfg.distance_engine != DistanceEngine::kChTable) {
-      EXPECT_EQ(out.sp_computations, dense_counters.sp_computations) << at;
-    }
+    EXPECT_EQ(out.sp_computations, dense_counters.sp_computations) << at;
   }
   return elb_pruned;
 }
@@ -410,8 +419,7 @@ TEST(GridJoinOracle, RefineMatchesTheDensePairMatrix) {
       for (const bool elb : {true, false}) {
         for (const bool landmarks : {false, true}) {
           for (const int min_pts : {1, 3}) {
-            for (const DistanceEngine engine :
-                 {DistanceEngine::kDijkstra, DistanceEngine::kCh, DistanceEngine::kChTable}) {
+            for (const DistanceEngine engine : {DistanceEngine::kDijkstra, DistanceEngine::kCh}) {
               RefineConfig cfg;
               cfg.epsilon = c.epsilon;
               cfg.distance_mode = mode;

@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "core/clusterer.h"
+#include "obs/registry.h"
 #include "serve/bounded_queue.h"
 #include "serve/ingest_service.h"
 #include "serve/query_engine.h"
@@ -229,7 +230,7 @@ TEST(IngestService, PublishesSnapshotPerBatch) {
   EXPECT_FALSE(ingest.submit(std::move(late)));
 }
 
-TEST(Metrics, HistogramQuantilesAndJson) {
+TEST(Metrics, HistogramQuantilesAndPrometheusExport) {
   serve::LatencyHistogram h;
   EXPECT_EQ(h.quantile_seconds(0.5), 0.0);
   // 10 obs at ~2 µs, 1 at ~1000 µs: p50 in a small bucket, p99+ in the big.
@@ -247,12 +248,18 @@ TEST(Metrics, HistogramQuantilesAndJson) {
   metrics.record_ingest(42, 0.01, 7);
   EXPECT_EQ(metrics.snapshot_version(), 7u);
   EXPECT_GE(metrics.snapshot_age_seconds(), 0.0);
-  const std::string json = metrics.to_json();
-  for (const char* key :
-       {"\"queries\"", "\"nearest_flow\"", "\"latency_s\"", "\"p50\"", "\"p99\"",
-        "\"histogram\"", "\"buckets_us\"", "\"ingest\"", "\"trajectories\":42",
-        "\"snapshot\"", "\"version\":7"}) {
-    EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
+  // The same numbers through the registry, the one export format.
+  const obs::Registry& reg = metrics.registry();
+  EXPECT_EQ(reg.counter_value("neat_serve_queries_total", {{"kind", "nearest_flow"}}), 1u);
+  EXPECT_EQ(reg.counter_value("neat_serve_ingested_trajectories_total"), 42u);
+  const std::string text = reg.to_prometheus();
+  for (const char* line :
+       {"\nneat_serve_queries_total{kind=\"nearest_flow\"} 1\n",
+        "\nneat_serve_query_duration_seconds_count 1\n",
+        "\nneat_serve_ingested_trajectories_total 42\n",
+        "\nneat_serve_ingest_batches_total{result=\"ok\"} 1\n",
+        "\nneat_serve_snapshot_version 7\n"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << "missing " << line << " in " << text;
   }
 }
 

@@ -216,20 +216,46 @@ TEST(ShortestRoute, NodePathMatchesEdges) {
             (std::vector<NodeId>{NodeId(0), NodeId(1), NodeId(2), NodeId(3)}));
 }
 
-TEST(SsspTree, MatchesPointQueries) {
-  const RoadNetwork net = make_grid(6, 6, 100.0);
-  const SsspTree tree(net, NodeId(0), Metric::kDistance);
-  for (int t = 0; t < 36; t += 5) {
-    const auto route = shortest_route(net, NodeId(0), NodeId(t), Metric::kDistance);
-    ASSERT_TRUE(route.has_value());
-    EXPECT_NEAR(tree.cost(NodeId(t)), route->length, 1e-9);
-    const auto tree_route = tree.route_to(NodeId(t));
-    ASSERT_TRUE(tree_route.has_value());
-    EXPECT_NEAR(tree_route->length, route->length, 1e-9);
+TEST(ReverseSsspTree, MatchesPointQueriesAroundAOneWaySegment) {
+  // A 4x4 grid of 100 m blocks whose first segment, 0 -> 1, is one-way:
+  // leaving node 1 toward node 0 must detour 1 -> 5 -> 4 -> 0.
+  RoadNetworkBuilder b;
+  constexpr int kSide = 4;
+  for (int r = 0; r < kSide; ++r) {
+    for (int c = 0; c < kSide; ++c) b.add_node({c * 100.0, r * 100.0});
+  }
+  const auto at = [](int r, int c) { return NodeId(r * kSide + c); };
+  for (int r = 0; r < kSide; ++r) {
+    for (int c = 0; c < kSide; ++c) {
+      if (c + 1 < kSide) b.add_segment(at(r, c), at(r, c + 1), 10.0, r != 0 || c != 0);
+      if (r + 1 < kSide) b.add_segment(at(r, c), at(r + 1, c), 10.0);
+    }
+  }
+  const RoadNetwork net = b.build();
+  const NodeId target = at(0, 0);
+  const ReverseSsspTree tree(net, target, Metric::kDistance);
+  EXPECT_EQ(tree.target(), target);
+  EXPECT_DOUBLE_EQ(tree.cost_from(at(0, 1)), 300.0);
+  for (int s = 0; s < kSide * kSide; ++s) {
+    const auto route = shortest_route(net, NodeId(s), target, Metric::kDistance);
+    ASSERT_TRUE(route.has_value()) << s;
+    EXPECT_TRUE(tree.reachable_from(NodeId(s))) << s;
+    EXPECT_NEAR(tree.cost_from(NodeId(s)), route->length, 1e-9) << s;
+    const auto tree_route = tree.route_from(NodeId(s));
+    ASSERT_TRUE(tree_route.has_value()) << s;
+    EXPECT_NEAR(tree_route->length, route->length, 1e-9) << s;
+    EXPECT_NEAR(tree_route->travel_time, route->travel_time, 1e-9) << s;
+    // The directed edges chain from the origin to the target.
+    NodeId cur(s);
+    for (const EdgeId eid : tree_route->edges) {
+      EXPECT_EQ(net.edge(eid).from, cur) << s;
+      cur = net.edge(eid).to;
+    }
+    EXPECT_EQ(cur, target) << s;
   }
 }
 
-TEST(SsspTree, UnreachableReported) {
+TEST(ReverseSsspTree, UnreachableOriginReported) {
   RoadNetworkBuilder b;
   const NodeId a = b.add_node({0, 0});
   const NodeId c = b.add_node({100, 0});
@@ -238,10 +264,12 @@ TEST(SsspTree, UnreachableReported) {
   b.add_segment(a, c, 10.0);
   b.add_segment(d, e, 10.0);
   const RoadNetwork net = b.build();
-  const SsspTree tree(net, a, Metric::kDistance);
-  EXPECT_TRUE(tree.reachable(c));
-  EXPECT_FALSE(tree.reachable(d));
-  EXPECT_FALSE(tree.route_to(d).has_value());
+  const ReverseSsspTree tree(net, a, Metric::kDistance);
+  EXPECT_TRUE(tree.reachable_from(c));
+  EXPECT_DOUBLE_EQ(tree.cost_from(c), 100.0);
+  EXPECT_FALSE(tree.reachable_from(d));
+  EXPECT_EQ(tree.cost_from(d), kInfDistance);
+  EXPECT_FALSE(tree.route_from(d).has_value());
 }
 
 // Property: on grids, network distance equals Manhattan distance (times
