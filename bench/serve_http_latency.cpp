@@ -1,25 +1,35 @@
-// End-to-end HTTP latency of the public query plane (src/net/).
+// Latency of the serving stack, over HTTP and in process.
 //
-// Stands up the full serving stack in-process — clustered city snapshot,
-// serve::QueryEngine, sim::TripPlanner, net::QueryService on a
-// net::HttpServer — and drives it over loopback with connect-per-request
-// clients, exactly the path external traffic takes (socket, parse, validate,
-// query, serialize). Reports client-observed per-endpoint p50/p99 and
-// throughput, and writes BENCH_serve.json for the CI performance-trajectory
-// gate (tools/bench_diff.py).
+// Builds one clustered city snapshot and measures it two ways:
+//   HTTP     — the full public query plane in-process (serve::QueryEngine,
+//              sim::TripPlanner, net::QueryService on a net::HttpServer),
+//              driven over loopback by connect-per-request clients, exactly
+//              the path external traffic takes (socket, parse, validate,
+//              query, serialize); client-observed per-endpoint p50/p99 and
+//              throughput;
+//   readers  — query threads calling serve::QueryEngine directly, under two
+//              conditions: idle (one static snapshot, no publishes) and
+//              publish-churn (the writer republishes a fresh snapshot
+//              version continuously, RCU churn); p50/p99 and q/s from the
+//              built-in metrics histogram.
+// Every row goes to BENCH_serve.json for the CI performance-trajectory gate
+// (tools/bench_diff.py).
 //
-// SLO check (exit 1 on miss): /v1/nearest p99 < 5 ms while the mixed
-// workload sustains >= 1000 req/s in total. Latencies come from log2-bucket
+// Two checks (exit 1 on either miss). The SLO: /v1/nearest p99 < 5 ms while
+// the mixed HTTP workload sustains >= 1000 req/s in total, with no
+// unexpected failures. Non-blocking publication: the publish-churn p99
+// stays within 5x the idle p99. Latencies come from log2-bucket
 // histograms, so the percentiles are conservative bucket upper edges.
 //
 // Honors NEAT_BENCH_REPEATS: each condition runs that many times and every
 // reported metric is the median, so one noise spike cannot fail CI.
 //
-//   $ ./serve_http_latency [client_threads] [seconds_per_run]
+//   $ ./serve_http_latency [threads] [seconds_per_run]
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -141,13 +151,86 @@ Run run_load(const roadnet::RoadNetwork& net, const serve::QueryEngine& engine,
   return out;
 }
 
+/// Reader-side numbers of one in-process run.
+struct ReadRun {
+  double qps{0.0};
+  double p50_s{0.0};
+  double p99_s{0.0};
+  std::uint64_t queries{0};
+  std::uint64_t publishes{0};
+};
+
+/// One in-process run: `threads` readers run a mixed query workload for
+/// `seconds` against a fresh store holding `snapshot`. With `publish`, the
+/// main thread meanwhile republishes the same flows under a fresh version
+/// as fast as it can.
+ReadRun run_readers(const roadnet::RoadNetwork& net, const Result& res,
+                    const std::shared_ptr<const serve::ClusterSnapshot>& snapshot,
+                    unsigned threads, double seconds, bool publish) {
+  serve::SnapshotStore store;
+  serve::Metrics metrics;
+  std::uint64_t version = snapshot->version();
+  store.publish(snapshot);
+  const serve::QueryEngine engine(net, store, &metrics);
+  const roadnet::Bounds bb = net.bounding_box();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (unsigned t = 0; t < threads; ++t) {
+    readers.emplace_back([&, t] {
+      Rng rng(42 + t);
+      while (!stop.load(std::memory_order_acquire)) {
+        const Point p{rng.uniform(bb.min.x, bb.max.x), rng.uniform(bb.min.y, bb.max.y)};
+        (void)engine.nearest_flow(p, 400.0);
+        const auto sid = SegmentId(static_cast<std::int32_t>(
+            rng.uniform_int(0, static_cast<int>(net.segment_count()) - 1)));
+        (void)engine.flows_on_segment(sid);
+        (void)engine.top_k_flows(5);
+      }
+    });
+  }
+
+  ReadRun out;
+  const Stopwatch wall;
+  if (publish) {
+    while (wall.elapsed_seconds() < seconds) {
+      store.publish(
+          serve::ClusterSnapshot::build(net, res.flow_clusters, res.final_clusters, ++version));
+      ++out.publishes;
+    }
+  } else {
+    while (wall.elapsed_seconds() < seconds) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& r : readers) r.join();
+  const double elapsed = wall.elapsed_seconds();
+
+  const serve::MetricsSnapshot m = metrics.snapshot();
+  out.queries = m.queries_total;
+  out.qps = static_cast<double>(m.queries_total) / elapsed;
+  out.p50_s = m.query_p50_s;
+  out.p99_s = m.query_p99_s;
+  return out;
+}
+
+/// Median over `runs` of the value `pick` reads from each.
+template <typename R, typename Pick>
+double median_of(const std::vector<R>& runs, Pick pick) {
+  std::vector<double> values;
+  values.reserve(runs.size());
+  for (const R& r : runs) values.push_back(static_cast<double>(pick(r)));
+  return bench::median(values);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const unsigned threads = argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 4;
   const double seconds = argc > 2 ? std::atof(argv[2]) : 1.5;
 
-  // One servable clustering result behind the HTTP edge.
+  // One servable clustering result, behind the HTTP edge and in process.
   roadnet::CityParams params;
   params.rows = 22;
   params.cols = 22;
@@ -159,26 +242,28 @@ int main(int argc, char** argv) {
   Config cfg;
   cfg.refine.epsilon = 2000.0;
   const Result res = NeatClusterer(net, cfg).run(data);
+  const std::shared_ptr<const serve::ClusterSnapshot> snapshot =
+      serve::ClusterSnapshot::build(net, res.flow_clusters, res.final_clusters, 1);
   serve::SnapshotStore store;
-  store.publish(
-      serve::ClusterSnapshot::build(net, res.flow_clusters, res.final_clusters, 1));
+  store.publish(snapshot);
   const serve::QueryEngine engine(net, store);
   std::cout << "workload: " << net.segment_count() << " segments, "
             << res.flow_clusters.size() << " flows, " << threads
-            << " client threads, " << seconds << " s per run, "
+            << " client/reader threads, " << seconds << " s per run, "
             << bench::repeats() << " repeat(s)\n\n";
 
-  // NEAT_BENCH_REPEATS measured runs; every reported number is the median.
+  // NEAT_BENCH_REPEATS measured runs per condition; every reported number
+  // is the median. Idle and churn alternate, so both see the same host.
   std::vector<Run> runs;
   for (int r = 0; r < bench::repeats(); ++r) {
     runs.push_back(run_load(net, engine, threads, seconds));
   }
-  const auto med = [&runs](auto&& pick) {
-    std::vector<double> values;
-    values.reserve(runs.size());
-    for (const Run& r : runs) values.push_back(pick(r));
-    return bench::median(values);
-  };
+  std::vector<ReadRun> idle_runs;
+  std::vector<ReadRun> churn_runs;
+  for (int r = 0; r < bench::repeats(); ++r) {
+    idle_runs.push_back(run_readers(net, res, snapshot, threads, seconds, false));
+    churn_runs.push_back(run_readers(net, res, snapshot, threads, seconds, true));
+  }
 
   eval::TextTable table({"endpoint", "requests", "req/s", "p50 us", "p99 us",
                          "failures"});
@@ -187,15 +272,11 @@ int main(int argc, char** argv) {
   double nearest_p99 = 0.0;
   std::uint64_t total_failures = 0;
   for (int e = 0; e < 4; ++e) {
-    const double p50 = med([e](const Run& r) { return r.endpoint[e].p50_s; });
-    const double p99 = med([e](const Run& r) { return r.endpoint[e].p99_s; });
-    const double rps = med([e](const Run& r) { return r.endpoint[e].rps; });
-    const double requests = med([e](const Run& r) {
-      return static_cast<double>(r.endpoint[e].requests);
-    });
-    const double failures = med([e](const Run& r) {
-      return static_cast<double>(r.endpoint[e].failures);
-    });
+    const double p50 = median_of(runs, [e](const Run& r) { return r.endpoint[e].p50_s; });
+    const double p99 = median_of(runs, [e](const Run& r) { return r.endpoint[e].p99_s; });
+    const double rps = median_of(runs, [e](const Run& r) { return r.endpoint[e].rps; });
+    const double requests = median_of(runs, [e](const Run& r) { return r.endpoint[e].requests; });
+    const double failures = median_of(runs, [e](const Run& r) { return r.endpoint[e].failures; });
     if (e == 0) nearest_p99 = p99;
     total_failures += static_cast<std::uint64_t>(failures);
     table.add_row({kEndpoints[e], format_fixed(requests, 0), format_fixed(rps, 0),
@@ -205,14 +286,36 @@ int main(int argc, char** argv) {
                                  {"rps", rps},
                                  {"requests", requests}});
   }
-  const double total_rps = med([](const Run& r) { return r.total_rps; });
-  const double total_requests =
-      med([](const Run& r) { return static_cast<double>(r.total_requests); });
+  const double total_rps = median_of(runs, [](const Run& r) { return r.total_rps; });
+  const double total_requests = median_of(runs, [](const Run& r) { return r.total_requests; });
   table.add_row({"total", format_fixed(total_requests, 0), format_fixed(total_rps, 0),
                  "-", "-", "-"});
   json.add_row("total", {{"rps", total_rps}, {"requests", total_requests}});
   table.print(std::cout);
   table.write_csv(eval::results_dir() + "/serve_http_latency.csv");
+
+  eval::TextTable readers({"condition", "queries", "q/s", "p50 us", "p99 us", "publishes"});
+  // Adds one in-process condition's medians to both outputs; returns its p99.
+  const auto report = [&](const char* name, const std::vector<ReadRun>& rr) {
+    const double p50 = median_of(rr, [](const ReadRun& r) { return r.p50_s; });
+    const double p99 = median_of(rr, [](const ReadRun& r) { return r.p99_s; });
+    const double qps = median_of(rr, [](const ReadRun& r) { return r.qps; });
+    const double queries = median_of(rr, [](const ReadRun& r) { return r.queries; });
+    const double publishes = median_of(rr, [](const ReadRun& r) { return r.publishes; });
+    readers.add_row({name, format_fixed(queries, 0), format_fixed(qps, 0), us(p50), us(p99),
+                     format_fixed(publishes, 0)});
+    json.add_row(name, {{"p50_s", p50},
+                        {"p99_s", p99},
+                        {"qps", qps},
+                        {"queries", queries},
+                        {"publishes", publishes}});
+    return p99;
+  };
+  const double idle_p99 = report("idle", idle_runs);
+  const double churn_p99 = report("publish-churn", churn_runs);
+  std::cout << '\n';
+  readers.print(std::cout);
+  readers.write_csv(eval::results_dir() + "/serve_publish_churn.csv");
   const std::string json_path = eval::results_dir() + "/BENCH_serve.json";
   json.write(json_path);
   std::cout << "\nwrote " << json_path << '\n';
@@ -227,5 +330,12 @@ int main(int argc, char** argv) {
             << " req/s (floor 1000) — " << (rps_ok ? "OK" : "MISSED")
             << "; unexpected failures " << total_failures << " — "
             << (clean ? "OK" : "FAILED") << '\n';
-  return p99_ok && rps_ok && clean ? 0 : 1;
+
+  // The serving design claims readers never block on a publish.
+  const double churn_limit = 5.0 * idle_p99;
+  const bool churn_ok = churn_p99 <= churn_limit;
+  std::cout << "publish does not block readers: p99 under churn " << us(churn_p99)
+            << " us vs limit " << us(churn_limit) << " us (5x idle p99) — "
+            << (churn_ok ? "OK" : "EXCEEDED") << '\n';
+  return p99_ok && rps_ok && clean && churn_ok ? 0 : 1;
 }

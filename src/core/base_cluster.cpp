@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/string_util.h"
-#include "core/netflow.h"
 
 namespace neat {
 
@@ -15,16 +14,6 @@ void BaseCluster::add(const TFragment& fragment) {
   ++density_;
   participants_.push_back(fragment.trid);
   finalized_ = false;
-}
-
-void BaseCluster::merge(const BaseCluster& other) {
-  NEAT_EXPECT(other.sid_ == sid_,
-              str_cat("base cluster of segment ", other.sid_.value(),
-                      " merged into base cluster of segment ", sid_.value()));
-  NEAT_EXPECT(finalized_ && other.finalized_,
-              "BaseCluster::merge() needs both clusters finalized");
-  density_ += other.density_;
-  participants_ = merge_participants(participants_, other.participants_);
 }
 
 void BaseCluster::finalize() {

@@ -31,11 +31,6 @@ class BaseCluster {
   /// Counts a t-fragment; it must lie on this cluster's segment.
   void add(const TFragment& fragment);
 
-  /// Folds in another finalized cluster of the same segment: densities add
-  /// up and participant lists unite. Keeps this cluster finalized; throws
-  /// neat::PreconditionError unless both are finalized and share the sid.
-  void merge(const BaseCluster& other);
-
   /// Sorts and deduplicates the participant list. Must be called after the
   /// last add() and before participants()/cardinality()/netflow use.
   void finalize();

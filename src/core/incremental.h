@@ -36,9 +36,10 @@ class IncrementalClusterer {
                        IncrementalOptions options = {});
 
   /// Processes one batch of newly arrived trajectories. Trajectory ids must
-  /// be unique across all batches (throws neat::PreconditionError
-  /// otherwise). Returns the refreshed final clusters (indices into
-  /// flows()).
+  /// be unique across all kept batches (throws neat::PreconditionError
+  /// otherwise). A batch that throws is not kept and changes nothing, so
+  /// its ids may be submitted again. Returns the refreshed final clusters
+  /// (indices into flows()).
   const std::vector<FinalCluster>& add_batch(const traj::TrajectoryDataset& batch);
 
   /// All kept flow clusters accumulated so far, in arrival order.

@@ -87,7 +87,7 @@ class ClusterSnapshot {
 /// pinning "your" snapshot for the whole query; publish() swaps in a fresh
 /// one. Both sides hold a plain mutex only for the pointer copy/swap itself
 /// (a refcount bump — snapshots are built *outside* the store), so a publish
-/// never stalls readers measurably; bench/serve_latency verifies this.
+/// never stalls readers measurably; bench/serve_http_latency verifies this.
 /// Versions must be strictly increasing (throws neat::PreconditionError
 /// otherwise), so every reader observes a monotonic version sequence.
 ///
@@ -96,7 +96,7 @@ class ClusterSnapshot {
 /// spin-lock with a relaxed RMW, so the protected pointer accesses are not
 /// happens-before ordered under the formal memory model — ThreadSanitizer
 /// (correctly) reports them. The mutex slot is provably race-free and
-/// indistinguishable from the atomic slot in the serve_latency benchmark.
+/// indistinguishable from the atomic slot in the publish-churn benchmark.
 class SnapshotStore {
  public:
   SnapshotStore() = default;

@@ -75,9 +75,7 @@ traj::Trajectory TrajectoryView::materialize() const {
   return traj::Trajectory(id, std::move(points));
 }
 
-ColumnarTrajectoryStore::ColumnarTrajectoryStore(const std::string& path,
-                                                 ColumnarStoreOptions options)
-    : path_(path) {
+ColumnarTrajectoryStore::ColumnarTrajectoryStore(const std::string& path) : path_(path) {
   FdCloser fd;
   fd.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd.fd < 0) throw Error(str_cat("cannot open '", path, "' for reading"));
@@ -168,10 +166,10 @@ ColumnarTrajectoryStore::ColumnarTrajectoryStore(const std::string& path,
     }
   }
 
-  if (options.verify_checksum) {
-    // Stream each section through read() and chain the digests exactly as
-    // the writer does. Reading via the fd (not the future mapping) keeps
-    // verification from inflating the resident set.
+  // Stream each section through read() and chain the digests exactly as the
+  // writer does. Reading via the fd (not the future mapping) keeps
+  // verification from inflating the resident set.
+  {
     const std::uint64_t sections[7][2] = {
         {actual[0], header_.num_trajectories * 8},
         {actual[1], (header_.num_trajectories + 1) * 8},

@@ -1,10 +1,9 @@
-// Memory-mapped reader over the columnar trajectory format — the
-// out-of-core half of the storage substrate (traj/columnar.h documents the
-// file layout). The whole file is mapped read-only once; trajectories are
-// exposed as zero-copy SoA spans into the mapping, so a scan over a dataset
-// larger than RAM pages columns in on demand and release() hands consumed
-// ranges back to the OS, keeping the resident footprint bounded by the
-// working set instead of the dataset.
+// Memory-mapped reader over the columnar trajectory format, for out-of-core
+// scans (traj/columnar.h documents the file layout). The whole file is
+// mapped read-only once; trajectories are exposed as zero-copy SoA spans
+// into the mapping, so a scan over a dataset larger than RAM pages columns
+// in on demand and release() hands consumed ranges back to the OS, keeping
+// the resident footprint bounded by the working set instead of the dataset.
 //
 // The mapping is immutable and the store does no caching, so all accessors
 // are safe to call concurrently. Views borrow the mapping: they are valid
@@ -40,22 +39,15 @@ struct TrajectoryView {
   [[nodiscard]] traj::Trajectory materialize() const;
 };
 
-/// Tuning of a columnar store open.
-struct ColumnarStoreOptions {
-  /// Verify the footer checksum on open by streaming the file through
-  /// read() (not the mapping, so verification does not inflate RSS).
-  /// Disable only for huge files whose integrity is established elsewhere.
-  bool verify_checksum{true};
-};
-
 /// Read-only mmap-backed store over one `.neatcol` file.
 class ColumnarTrajectoryStore {
  public:
-  /// Opens and maps `path`, validating header, section layout and footer
-  /// (plus the checksum per `options`). Throws neat::Error when the file
-  /// cannot be opened or mapped, neat::ParseError when it is not a valid
-  /// columnar trajectory file.
-  explicit ColumnarTrajectoryStore(const std::string& path, ColumnarStoreOptions options = {});
+  /// Opens and maps `path`, validating header, section layout, footer and
+  /// checksum. The checksum streams the file through read(), not the
+  /// mapping, so verification does not inflate RSS. Throws neat::Error when
+  /// the file cannot be opened or mapped, neat::ParseError when it is not a
+  /// valid columnar trajectory file.
+  explicit ColumnarTrajectoryStore(const std::string& path);
   ~ColumnarTrajectoryStore();
 
   ColumnarTrajectoryStore(const ColumnarTrajectoryStore&) = delete;

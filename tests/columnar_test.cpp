@@ -159,29 +159,37 @@ TEST(Columnar, OpenRejectsCorruptFiles) {
     std::ofstream out(bad, std::ios::binary | std::ios::trunc);
     out.write(b.data(), static_cast<std::streamsize>(b.size()));
   };
+  // Opening `bad` must throw ParseError, and its message names the check
+  // that caught the corruption.
+  const auto expect_rejected_by = [&bad](const std::string& check) {
+    try {
+      const store::ColumnarTrajectoryStore cstore(bad);
+      ADD_FAILURE() << "corrupt file opened; expected '" << check << "'";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(check), std::string::npos) << e.what();
+    }
+  };
 
   {  // Flipped payload byte: caught by the footer checksum.
     std::string b = bytes;
     b[b.size() / 2] ^= 0x40;
     write_bytes(b);
-    EXPECT_THROW(store::ColumnarTrajectoryStore{bad}, ParseError);
+    expect_rejected_by("failed checksum verification");
   }
-  {  // Truncation: caught by the layout/size check even without checksum.
+  {  // Truncation: caught by the layout/size check, before the checksum.
     std::string b = bytes.substr(0, bytes.size() - 24);
     write_bytes(b);
-    store::ColumnarStoreOptions no_verify;
-    no_verify.verify_checksum = false;
-    EXPECT_THROW(store::ColumnarTrajectoryStore(bad, no_verify), ParseError);
+    expect_rejected_by("is truncated or padded");
   }
   {  // Wrong magic.
     std::string b = bytes;
     b[0] = 'X';
     write_bytes(b);
-    EXPECT_THROW(store::ColumnarTrajectoryStore{bad}, ParseError);
+    expect_rejected_by("bad magic");
   }
   {  // Too small to hold a header at all.
     write_bytes("tiny");
-    EXPECT_THROW(store::ColumnarTrajectoryStore{bad}, ParseError);
+    expect_rejected_by("too small");
   }
   EXPECT_THROW(store::ColumnarTrajectoryStore{"/nonexistent/file.neatcol"}, Error);
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "core/incremental.h"
@@ -79,6 +81,73 @@ TEST(Incremental, RejectsDuplicateTrajectoryIdsAcrossBatches) {
   IncrementalClusterer inc(net, cfg);
   inc.add_batch(batch1);
   EXPECT_THROW(inc.add_batch(batch2), PreconditionError);
+}
+
+// The message of the neat::Error add_batch throws on `batch`; empty when
+// the batch is kept.
+std::string rejection(IncrementalClusterer& inc, const traj::TrajectoryDataset& batch) {
+  try {
+    inc.add_batch(batch);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// What a rejected batch must leave as it was: the kept flows (route and
+// participants), the final clusters and the batch count.
+struct ClustererState {
+  std::vector<std::vector<SegmentId>> routes;
+  std::vector<std::vector<TrajectoryId>> participants;
+  std::vector<std::vector<std::size_t>> clusters;
+  std::size_t batches{0};
+
+  explicit ClustererState(const IncrementalClusterer& inc) : batches(inc.batches_processed()) {
+    for (const FlowCluster& f : inc.flows()) {
+      routes.push_back(f.route);
+      participants.push_back(f.participants);
+    }
+    for (const FinalCluster& c : inc.clusters()) clusters.push_back(c.flows);
+  }
+  bool operator==(const ClustererState&) const = default;
+};
+
+TEST(Incremental, RejectedBatchLeavesNoTrace) {
+  const roadnet::RoadNetwork net = testutil::fig1_network();
+  const NodeId n1(0), n2(1), n3(2), n5(4);
+  Config cfg;
+  cfg.refine.epsilon = 1000.0;
+  IncrementalClusterer inc(net, cfg);
+  traj::TrajectoryDataset first;
+  first.add(testutil::make_path_trajectory(net, 1, {n1, n2, n3}));
+  ASSERT_EQ(rejection(inc, first), "");
+  const ClustererState kept(inc);
+
+  // Id 1 is taken, so the batch {2, 1} is rejected as a whole.
+  traj::TrajectoryDataset taken;
+  taken.add(testutil::make_path_trajectory(net, 2, {n1, n2, n5}));
+  taken.add(testutil::make_path_trajectory(net, 1, {n1, n2}));
+  std::string why = rejection(inc, taken);
+  EXPECT_NE(why.find("trajectory id 1 appeared in an earlier batch"), std::string::npos) << why;
+  EXPECT_TRUE(ClustererState(inc) == kept);
+
+  // Trajectory 7 strays onto a segment the network does not have, so
+  // Phase 1 rejects its batch.
+  traj::TrajectoryDataset stray;
+  traj::Trajectory seven = testutil::make_path_trajectory(net, 7, {n1, n2, n5});
+  seven.append(traj::Location{SegmentId(999), net.node(n5).pos, 100.0, false});
+  stray.add(std::move(seven));
+  why = rejection(inc, stray);
+  EXPECT_NE(why.find("no such segment: 999"), std::string::npos) << why;
+  EXPECT_TRUE(ClustererState(inc) == kept);
+
+  // Neither rejected batch kept an id: 2 and the corrected 7 are free.
+  traj::TrajectoryDataset retry;
+  retry.add(testutil::make_path_trajectory(net, 2, {n1, n2, n5}));
+  retry.add(testutil::make_path_trajectory(net, 7, {n2, n3}));
+  EXPECT_EQ(rejection(inc, retry), "");
+  EXPECT_EQ(inc.batches_processed(), 2u);
+  EXPECT_GT(inc.flows().size(), kept.routes.size());
 }
 
 TEST(Incremental, SingleBatchMatchesFlowCountOfBatchRun) {

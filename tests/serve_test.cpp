@@ -214,14 +214,24 @@ TEST(IngestService, PublishesSnapshotPerBatch) {
   EXPECT_EQ(metrics.snapshot().trajectories_ingested, 3u);
   EXPECT_EQ(metrics.snapshot().snapshot_version, 2u);
 
-  // A bad batch (duplicate trajectory id) is counted failed; the last good
-  // snapshot keeps serving.
+  // A bad batch (a new id 4 next to the duplicate id 1) is counted failed;
+  // the last good snapshot keeps serving.
   traj::TrajectoryDataset dup;
+  dup.add(testutil::make_path_trajectory(net, 4, {n1, n2, n3}));
   dup.add(testutil::make_path_trajectory(net, 1, {n1, n2}));
   EXPECT_TRUE(ingest.submit(std::move(dup)));
   ingest.flush();
   EXPECT_EQ(metrics.snapshot().batches_failed, 1u);
   EXPECT_EQ(store.version(), 2u);
+
+  // The failed batch was dropped whole, so its new id 4 is still free.
+  traj::TrajectoryDataset retry;
+  retry.add(testutil::make_path_trajectory(net, 4, {n1, n2, n3}));
+  EXPECT_TRUE(ingest.submit(std::move(retry)));
+  ingest.flush();
+  EXPECT_EQ(metrics.snapshot().batches_failed, 1u);
+  EXPECT_EQ(ingest.batches_published(), 3u);
+  EXPECT_EQ(store.version(), 3u);
 
   ingest.stop();
   // After stop, submissions are refused.
