@@ -300,22 +300,15 @@ void BM_TraclusSegmentDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_TraclusSegmentDistance);
 
-void BM_AstarVsDijkstraRoute(benchmark::State& state) {
-  // state.range(0): 0 = Dijkstra, 1 = A*.
+void BM_ShortestRoute(benchmark::State& state) {
   const Fixture& f = Fixture::get();
   const auto far = NodeId(static_cast<std::int32_t>(f.net.node_count() - 1));
-  const bool use_astar = state.range(0) == 1;
   for (auto _ : state) {
-    if (use_astar) {
-      benchmark::DoNotOptimize(
-          roadnet::astar_route(f.net, NodeId(0), far, roadnet::Metric::kDistance));
-    } else {
-      benchmark::DoNotOptimize(
-          roadnet::shortest_route(f.net, NodeId(0), far, roadnet::Metric::kDistance));
-    }
+    benchmark::DoNotOptimize(
+        roadnet::shortest_route(f.net, NodeId(0), far, roadnet::Metric::kDistance));
   }
 }
-BENCHMARK(BM_AstarVsDijkstraRoute)->Arg(0)->Arg(1);
+BENCHMARK(BM_ShortestRoute);
 
 void BM_LocationDistance(benchmark::State& state) {
   const Fixture& f = Fixture::get();

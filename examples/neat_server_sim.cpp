@@ -81,8 +81,7 @@ struct SimOptions {
             << "  --linger-s SECONDS      keep the server up after the simulated\n"
             << "                          workload so it can be scraped (default 0)\n"
             << "  --distance-engine E     Phase 3 distance backend for ingest\n"
-            << "                          re-clustering; 'ch' also routes the\n"
-            << "                          simulated trips through the hierarchy\n"
+            << "                          re-clustering (default dijkstra)\n"
             << "  --profile-out FILE      sample the CPU across the simulated\n"
             << "                          workload and write the folded profile\n"
             << "                          (render: python3 tools/fold2svg.py)\n"
@@ -221,22 +220,14 @@ int main(int argc, char** argv) {
 
   // --- the public query plane: the same QueryEngine the in-process tier-3
   // clients use, exposed as JSON /v1/* endpoints, plus route planning over
-  // the road network (CH-backed when the ingest path runs on CH too).
+  // the road network (per-destination reverse shortest-path trees).
   // Declaration order matters: the server holds threads calling into the
   // service and planner, so it is declared last and torn down first.
   std::unique_ptr<sim::TripPlanner> planner;
   std::unique_ptr<net::QueryService> query_service;
   std::unique_ptr<net::HttpServer> query_server;
   if (opt.query_port >= 0) {
-    std::shared_ptr<const roadnet::ChEngine> ch;
-    if (opt.refine.distance_engine == DistanceEngine::kCh) {
-      roadnet::ChOptions copts;
-      copts.directed = true;
-      copts.metric = roadnet::Metric::kDistance;
-      ch = std::make_shared<const roadnet::ChEngine>(net, copts);
-    }
-    planner = std::make_unique<sim::TripPlanner>(net, roadnet::Metric::kDistance,
-                                                 std::move(ch));
+    planner = std::make_unique<sim::TripPlanner>(net, roadnet::Metric::kDistance);
     net::QueryServiceOptions sopts_q;
     sopts_q.slow_request_seconds = static_cast<double>(opt.slow_ms) / 1e3;
     query_service = std::make_unique<net::QueryService>(
@@ -267,9 +258,7 @@ int main(int argc, char** argv) {
   if (!opt.profile_out.empty() && !profiling) {
     NEAT_LOG(kWarn, "sim").msg("profiler busy, running without --profile-out");
   }
-  sim::SimConfig sim_cfg = sim::default_config(net, 2, 3);
-  sim_cfg.use_ch_routing = opt.refine.distance_engine == DistanceEngine::kCh;
-  const sim::MobilitySimulator simulator(net, sim_cfg);
+  const sim::MobilitySimulator simulator(net, sim::default_config(net, 2, 3));
   constexpr std::size_t kBatches = 3;
   constexpr std::size_t kTripsPerBatch = 100;
   std::int64_t next_id = 0;

@@ -34,15 +34,6 @@ SelectivityFactors selectivity_factors(const roadnet::RoadNetwork& net,
   return f;
 }
 
-namespace {
-
-/// Working state while one flow cluster is grown.
-struct GrowingFlow {
-  FlowCluster flow;
-};
-
-}  // namespace
-
 FlowBuilder::FlowBuilder(const roadnet::RoadNetwork& net,
                          const std::vector<BaseCluster>& base_clusters, FlowConfig config)
     : net_(net), base_(base_clusters), config_(config) {

@@ -114,8 +114,8 @@ const roadnet::LandmarkOracle* Refiner::landmark_oracle() const {
 
 void Refiner::set_ch_engine(std::shared_ptr<const roadnet::ChEngine> ch) {
   if (ch) {
-    NEAT_EXPECT(!ch->options().directed && &ch->network() == &net_,
-                "Refiner: needs an undirected ChEngine over the same network");
+    NEAT_EXPECT(&ch->network() == &net_,
+                "Refiner: needs a ChEngine over the same network");
   }
   const std::lock_guard<std::mutex> lock(accel_mu_);
   ch_ = std::move(ch);

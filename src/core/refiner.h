@@ -232,7 +232,7 @@ class Refiner {
 
   /// Pre-seeds the contraction hierarchy (e.g. to amortize one build across
   /// refiners or batches). Ignored unless distance_engine is kCh; the
-  /// engine must be undirected over the same network.
+  /// engine must be built over the same network.
   void set_ch_engine(std::shared_ptr<const roadnet::ChEngine> ch);
 
   /// The hierarchy used by this refiner: nullptr unless distance_engine is

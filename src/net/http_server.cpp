@@ -22,6 +22,7 @@ const char* reason_phrase(int code) {
     case 400: return "Bad Request";
     case 404: return "Not Found";
     case 405: return "Method Not Allowed";
+    case 409: return "Conflict";
     case 414: return "URI Too Long";
     case 431: return "Request Header Fields Too Large";
     case 503: return "Service Unavailable";

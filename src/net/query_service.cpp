@@ -330,12 +330,10 @@ HttpResponse QueryService::route(const HttpRequest& req) const {
                          "this server runs without a route planner"};
     }
     std::optional<roadnet::Route> planned;
-    bool via_ch = false;
     {
       const std::lock_guard<std::mutex> lock(planner_mu_);
       planned = planner_->plan(NodeId(static_cast<std::int32_t>(from)),
                                NodeId(static_cast<std::int32_t>(to)));
-      via_ch = planner_->uses_ch();
     }
     if (!planned) {
       throw RequestError{404, "unreachable",
@@ -352,8 +350,8 @@ HttpResponse QueryService::route(const HttpRequest& req) const {
     }
     return json_response(
         200, str_cat("{\"trace_id\":", trace_id, ",\"from\":", from, ",\"to\":", to,
-                     ",\"engine\":\"", via_ch ? "ch" : "sssp",
-                     "\",\"length_m\":", format_fixed(planned->length, 3),
+                     ",\"engine\":\"sssp\",\"length_m\":",
+                     format_fixed(planned->length, 3),
                      ",\"travel_time_s\":", format_fixed(planned->travel_time, 3),
                      ",\"segments\":", json_int_array(segments),
                      ",\"nodes\":", json_int_array(nodes), "}"));

@@ -1,9 +1,9 @@
 // Public HTTP query plane: JSON endpoints over the serving stack.
 //
 // A QueryService turns the in-process read path (serve::QueryEngine over a
-// SnapshotStore) and the road-network route planner (sim::TripPlanner,
-// optionally CH-backed) into versioned public endpoints on a
-// net::HttpServer:
+// SnapshotStore) and the road-network route planner (sim::TripPlanner, a
+// bounded cache of per-destination reverse shortest-path trees) into
+// versioned public endpoints on a net::HttpServer:
 //
 //   GET /v1/nearest?x=&y=[&radius=][&trace_id=]   flow clusters near a point
 //   GET /v1/segment?sid=[&trace_id=]              flows through a segment

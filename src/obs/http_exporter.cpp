@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <utility>
 
@@ -90,17 +91,21 @@ void HttpExporter::register_routes() {
     }
     prof::ProfilerOptions popts;
     if (const std::string* raw = q.param("hz")) {
+      // Range-check the 64-bit value before narrowing: a cast first would
+      // wrap e.g. 2^32 + 1 into range.
+      std::int64_t hz = 0;
       try {
-        popts.sample_hz = static_cast<int>(parse_int(*raw));
+        hz = parse_int(*raw);
       } catch (const ParseError&) {
-        popts.sample_hz = 0;
+        hz = 0;
       }
-      if (popts.sample_hz < 1 || popts.sample_hz > 10000) {
+      if (hz < 1 || hz > 10000) {
         return net::HttpResponse{
             400, "application/json",
             "{\"error\":\"invalid_parameter\",\"message\":\"hz must be an integer "
             "in [1, 10000]\"}"};
       }
+      popts.sample_hz = static_cast<int>(hz);
     }
     if (!prof::Profiler::global().start(popts)) {
       return net::HttpResponse{

@@ -76,29 +76,7 @@ std::int64_t wall_now_ns() {
   return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
-/// Appends `v` JSON-string-escaped (without the surrounding quotes).
-void append_escaped(std::string& out, std::string_view v) {
-  for (const char c : v) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(c >> 4) & 0xf];
-          out += hex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-/// Bytes `c` occupies inside a JSON string (see append_escaped).
+/// Bytes `c` occupies inside a JSON string (see obs::append_json_escaped).
 std::size_t escaped_len(char c) {
   switch (c) {
     case '"':
@@ -367,7 +345,7 @@ std::string Logger::logz_json() const {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i > 0) out += ',';
     out += "{\"module\":\"";
-    append_escaped(out, entries[i].name);
+    append_json_escaped(out, entries[i].name);
     out += "\",\"level\":\"";
     out += level_name(entries[i].level);
     out += "\"}";
@@ -481,9 +459,9 @@ void Logger::emit_record(const Record& record, std::string& line_buf) {
   line_buf += "\",\"level\":\"";
   line_buf += level_name(static_cast<Level>(record.level));
   line_buf += "\",\"module\":\"";
-  append_escaped(line_buf, module->name());
+  append_json_escaped(line_buf, module->name());
   line_buf += "\",\"msg\":\"";
-  append_escaped(line_buf, msg);
+  append_json_escaped(line_buf, msg);
   line_buf += '"';
   if (record.trace_id != 0) {
     line_buf += ",\"trace_id\":";
@@ -511,9 +489,9 @@ void Logger::emit_summary(const std::string& key, SuppressState& state,
   line_buf += "\",\"level\":\"";
   line_buf += level_name(static_cast<Level>(state.level));
   line_buf += "\",\"module\":\"";
-  append_escaped(line_buf, state.module->name());
+  append_json_escaped(line_buf, state.module->name());
   line_buf += "\",\"msg\":\"";
-  append_escaped(line_buf, msg);
+  append_json_escaped(line_buf, msg);
   line_buf += "\",\"suppressed\":";
   line_buf += std::to_string(state.suppressed);
   line_buf += '}';

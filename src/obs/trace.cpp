@@ -71,9 +71,7 @@ TraceIdScope::TraceIdScope(std::uint64_t id) : prev_(t_trace_id) {
 
 TraceIdScope::~TraceIdScope() { t_trace_id = prev_; }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+void append_json_escaped(std::string& out, std::string_view s) {
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -92,6 +90,12 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -197,7 +201,7 @@ std::string Tracer::to_chrome_json() const {
     }
     for (const SpanEvent& e : log->events) {
       std::string event = "{\"name\":\"";
-      event += json_escape(e.name);
+      append_json_escaped(event, e.name);
       event += "\",\"cat\":\"neat\",\"ph\":\"X\",\"ts\":";
       event += format_json_double(e.ts_us);
       event += ",\"dur\":";
@@ -248,12 +252,12 @@ std::string Tracer::to_tracez_json(std::size_t max_spans) const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    out += json_escape(r.event.name);
+    append_json_escaped(out, r.event.name);
     out += "\",\"tid\":";
     out += std::to_string(r.tid);
     if (!r.thread.empty()) {
       out += ",\"thread\":\"";
-      out += json_escape(r.thread);
+      append_json_escaped(out, r.thread);
       out += '"';
     }
     out += ",\"ts_us\":";
@@ -291,7 +295,7 @@ void ScopedSpan::arg_raw(const char* key, std::string value_json) {
   if (tracer_ == nullptr) return;
   if (!args_.empty()) args_ += ',';
   args_ += '"';
-  args_ += json_escape(key);
+  append_json_escaped(args_, key);
   args_ += "\":";
   args_ += value_json;
 }

@@ -33,6 +33,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace neat::obs {
@@ -194,7 +195,12 @@ class ScopedSpan {
   std::string args_;
 };
 
-/// JSON string escaping shared by the exporters (quotes not included).
+/// Appends `s` JSON-string-escaped (quotes not included): `"`, `\` and the
+/// control characters, which become \n, \r, \t or \u00XX. The one escaper
+/// of the exporters and the structured log.
+void append_json_escaped(std::string& out, std::string_view s);
+
+/// append_json_escaped() into a fresh string.
 [[nodiscard]] std::string json_escape(const std::string& s);
 
 }  // namespace neat::obs

@@ -20,16 +20,15 @@ using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::grea
 using PrioEntry = std::pair<std::int64_t, std::int32_t>;
 using PrioHeap = std::priority_queue<PrioEntry, std::vector<PrioEntry>, std::greater<>>;
 
-double arc_weight(const Segment& seg, Metric metric) {
-  return metric == Metric::kDistance ? seg.length : seg.length / seg.speed_limit;
-}
+/// Settled-node budget of each witness search during preprocessing.
+/// Exhausting it inserts a (possibly redundant) shortcut — never wrong, only
+/// larger; a larger budget trades build time for query speed.
+constexpr int kWitnessSettleLimit = 64;
 
 }  // namespace
 
-ChEngine::ChEngine(const RoadNetwork& net, Options opts) : net_(net), opts_(opts) {
+ChEngine::ChEngine(const RoadNetwork& net) : net_(net) {
   NEAT_EXPECT(net_.node_count() > 0, "ChEngine: network has no junctions");
-  NEAT_EXPECT(opts_.witness_settle_limit >= 1,
-              "ChEngine: witness_settle_limit must be at least 1");
   obs::ScopedSpan span("ch.build");
   const Stopwatch watch;
   n_ = net_.node_count();
@@ -82,35 +81,25 @@ std::int32_t ChEngine::rank(NodeId n) const {
 void ChEngine::add_base_arcs() {
   out_adj_.assign(n_, {});
   in_adj_.assign(n_, {});
-  const auto push = [&](std::int32_t from, std::int32_t to, double w, EdgeId eid) {
+  const auto push = [&](std::int32_t from, std::int32_t to, double w) {
     if (from == to) return;  // self-loops never lie on a shortest path
     const auto idx = static_cast<std::int32_t>(arcs_.size());
-    arcs_.push_back(Arc{from, to, w, -1, -1, eid});
+    arcs_.push_back(Arc{from, to, w, -1, -1});
     out_adj_[static_cast<std::size_t>(from)].push_back(idx);
     in_adj_[static_cast<std::size_t>(to)].push_back(idx);
   };
-  if (opts_.directed) {
-    const std::vector<DirectedEdge>& edges = net_.edges();
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const Segment& seg = net_.segment(edges[i].sid);
-      push(edges[i].from.value(), edges[i].to.value(), arc_weight(seg, opts_.metric),
-           EdgeId(static_cast<std::int32_t>(i)));
-    }
-  } else {
-    // Undirected mode mirrors NodeDistanceOracle: every segment is
-    // traversable both ways regardless of its one-way flag (§III-C.3).
-    // Arcs land in twin pairs (twin of arc i is i^1), the invariant that
-    // keeps the hierarchy arc-symmetric — see contract().
-    for (std::size_t s = 0; s < net_.segment_count(); ++s) {
-      const Segment& seg = net_.segment(SegmentId(static_cast<std::int32_t>(s)));
-      const double w = arc_weight(seg, opts_.metric);
-      push(seg.a.value(), seg.b.value(), w, EdgeId::invalid());
-      push(seg.b.value(), seg.a.value(), w, EdgeId::invalid());
-    }
-    twin_.resize(arcs_.size());
-    for (std::size_t i = 0; i < arcs_.size(); ++i) {
-      twin_[i] = static_cast<std::int32_t>(i ^ 1);
-    }
+  // Mirrors NodeDistanceOracle: every segment is traversable both ways
+  // regardless of its one-way flag (§III-C.3), weighted by its length.
+  // Arcs land in twin pairs (twin of arc i is i^1), the invariant that
+  // keeps the hierarchy arc-symmetric — see contract().
+  for (std::size_t s = 0; s < net_.segment_count(); ++s) {
+    const Segment& seg = net_.segment(SegmentId(static_cast<std::int32_t>(s)));
+    push(seg.a.value(), seg.b.value(), seg.length);
+    push(seg.b.value(), seg.a.value(), seg.length);
+  }
+  twin_.resize(arcs_.size());
+  for (std::size_t i = 0; i < arcs_.size(); ++i) {
+    twin_[i] = static_cast<std::int32_t>(i ^ 1);
   }
 }
 
@@ -127,7 +116,7 @@ void ChEngine::witness_search(std::int32_t u, std::int32_t v, double bound) {
     heap.pop();
     if (d > wdist_[x]) continue;  // stale entry
     if (d > bound) break;
-    if (++settled > opts_.witness_settle_limit) break;
+    if (++settled > kWitnessSettleLimit) break;
     for (const std::int32_t ai : out_adj_[x]) {
       const Arc& a = arcs_[ai];
       if (a.to == v || contracted_[a.to]) continue;
@@ -171,7 +160,7 @@ int ChEngine::contract(std::int32_t v, bool simulate) {
   const auto insert_arc = [&](std::int32_t from, std::int32_t to, double w,
                               std::int32_t left, std::int32_t right) {
     const auto idx = static_cast<std::int32_t>(arcs_.size());
-    arcs_.push_back(Arc{from, to, w, left, right, EdgeId::invalid()});
+    arcs_.push_back(Arc{from, to, w, left, right});
     out_adj_[static_cast<std::size_t>(from)].push_back(idx);
     in_adj_[static_cast<std::size_t>(to)].push_back(idx);
     return idx;
@@ -180,15 +169,14 @@ int ChEngine::contract(std::int32_t v, bool simulate) {
     double max_need = 0.0;
     bool any_target = false;
     for (const Neighbor& out : out_nb_) {
-      if (out.node == in.node) continue;
-      // Undirected hierarchies stay arc-symmetric: each unordered neighbor
-      // pair is decided by ONE witness run (from the smaller node id) and,
-      // when that fails, gets BOTH shortcut directions inserted as twins.
+      // The hierarchy stays arc-symmetric: each unordered neighbor pair is
+      // decided by ONE witness run (from the smaller node id) and, when
+      // that fails, gets BOTH shortcut directions inserted as twins.
       // Deciding each direction independently could leave a one-sided
       // shortcut (witness runs are settle-limited), and the shared-label
       // query path relies on the reverse of every down-path existing as an
       // up-path.
-      if (!opts_.directed && out.node < in.node) continue;
+      if (out.node <= in.node) continue;
       max_need = std::max(max_need, in.w + out.w);
       any_target = true;
     }
@@ -197,24 +185,21 @@ int ChEngine::contract(std::int32_t v, bool simulate) {
     // avoiding v already match the would-be shortcut?
     witness_search(in.node, v, max_need);
     for (const Neighbor& out : out_nb_) {
-      if (out.node == in.node) continue;
-      if (!opts_.directed && out.node < in.node) continue;
+      if (out.node <= in.node) continue;
       const double sc = in.w + out.w;
       if (wstamp_[out.node] == wgen_ && wdist_[out.node] <= sc) continue;
-      shortcuts += opts_.directed ? 1 : 2;
+      shortcuts += 2;
       if (!simulate) {
         const std::int32_t fwd_idx =
             insert_arc(in.node, out.node, sc, in.arc, out.arc);
-        if (!opts_.directed) {
-          // The reverse shortcut unpacks through the twins of the forward
-          // one's children, in swapped order (reverse of u->v->w is
-          // w->v->u). Its weight out.w + in.w is bitwise equal to sc.
-          const std::int32_t rev_idx = insert_arc(
-              out.node, in.node, sc, twin_[static_cast<std::size_t>(out.arc)],
-              twin_[static_cast<std::size_t>(in.arc)]);
-          twin_.push_back(rev_idx);  // twin of fwd_idx
-          twin_.push_back(fwd_idx);  // twin of rev_idx
-        }
+        // The reverse shortcut unpacks through the twins of the forward
+        // one's children, in swapped order (reverse of u->v->w is
+        // w->v->u). Its weight out.w + in.w is bitwise equal to sc.
+        const std::int32_t rev_idx = insert_arc(
+            out.node, in.node, sc, twin_[static_cast<std::size_t>(out.arc)],
+            twin_[static_cast<std::size_t>(in.arc)]);
+        twin_.push_back(rev_idx);  // twin of fwd_idx
+        twin_.push_back(fwd_idx);  // twin of rev_idx
       }
     }
   }
@@ -326,21 +311,18 @@ void ChEngine::build_upward_graphs() {
 ChEngine::LabelBuilder::LabelBuilder(const ChEngine& engine)
     : ch_(engine), dist_(engine.n_, 0.0), stamp_(engine.n_, 0), parent_(engine.n_, -1) {}
 
-std::size_t ChEngine::LabelBuilder::build(bool fwd_graph, std::int32_t src, double bound,
+std::size_t ChEngine::LabelBuilder::build(std::int32_t src, double bound,
                                           Label& out_label) {
   // Upward Dijkstra from `src`, pruned at `bound`: every node whose upward
   // distance is within the bound is settled exactly, so any meet hub of a
   // shortest path <= bound survives in the label (both halves of an up-down
   // path are themselves <= the total). Paths beyond the bound answer
   // kInfDistance by contract, where a truncated label is indistinguishable
-  // from a full one. The forward search relaxes up_fwd_ and stalls via
-  // up_rev_; the backward search mirrors the roles.
-  const std::span<const std::int32_t> relax_head(fwd_graph ? ch_.up_fwd_head_
-                                                           : ch_.up_rev_head_);
-  const std::span<const UpArc> relax(fwd_graph ? ch_.up_fwd_ : ch_.up_rev_);
-  const std::span<const std::int32_t> stall_head(fwd_graph ? ch_.up_rev_head_
-                                                           : ch_.up_fwd_head_);
-  const std::span<const UpArc> stall(fwd_graph ? ch_.up_rev_ : ch_.up_fwd_);
+  // from a full one. The search relaxes up_fwd_ and stalls via up_rev_.
+  const std::span<const std::int32_t> relax_head(ch_.up_fwd_head_);
+  const std::span<const UpArc> relax(ch_.up_fwd_);
+  const std::span<const std::int32_t> stall_head(ch_.up_rev_head_);
+  const std::span<const UpArc> stall(ch_.up_rev_);
 
   out_label.bound = bound;
   std::vector<LabelEntry>& out = out_label.entries;
@@ -400,18 +382,14 @@ std::size_t ChEngine::LabelBuilder::build(bool fwd_graph, std::int32_t src, doub
   return settled;
 }
 
-ChEngine::LabelCache::LabelCache(const ChEngine& engine) : ch_(engine) {}
-
-const ChEngine::Label& ChEngine::LabelCache::get(bool forward, std::int32_t src,
-                                                 double bound, LabelBuilder& builder,
+const ChEngine::Label& ChEngine::LabelCache::get(std::int32_t src, double bound,
+                                                 LabelBuilder& builder,
                                                  std::size_t& settled) {
-  // Undirected hierarchies share one cache across both directions — the
-  // backward label of a node carries the same (node, dist) set as its
-  // forward label, halving the settled work of workloads that touch a node
-  // from both sides. unpack_updown() compensates for the flipped parents.
-  const bool fwd_graph = forward || !ch_.opts_.directed;
-  auto& cache = fwd_graph ? fwd_labels_ : bwd_labels_;
-  const auto [it, inserted] = cache.try_emplace(src);
+  // One label serves both sides of a query — the backward label of a node
+  // carries the same (node, dist) set as its forward label, halving the
+  // settled work of workloads that touch a node from both sides.
+  // unpack_updown() compensates for the flipped parents.
+  const auto [it, inserted] = labels_.try_emplace(src);
   if (!inserted && it->second.bound >= bound) return it->second;
   if (!inserted) {
     // A later query wants a larger bound: rebuild from scratch. Workloads
@@ -420,7 +398,7 @@ const ChEngine::Label& ChEngine::LabelCache::get(bool forward, std::int32_t src,
     cached_entries_ -= it->second.entries.size();
     it->second.entries.clear();
   }
-  settled += builder.build(fwd_graph, src, bound, it->second);
+  settled += builder.build(src, bound, it->second);
   cached_entries_ += it->second.entries.size();
   return it->second;
 }
@@ -428,8 +406,7 @@ const ChEngine::Label& ChEngine::LabelCache::get(bool forward, std::int32_t src,
 void ChEngine::LabelCache::maybe_evict() {
   constexpr std::size_t kMaxCachedEntries = std::size_t{1} << 22;
   if (cached_entries_ > kMaxCachedEntries) {
-    fwd_labels_.clear();
-    bwd_labels_.clear();
+    labels_.clear();
     cached_entries_ = 0;
   }
 }
@@ -465,21 +442,9 @@ void ChEngine::unpack_updown(const Label& fwd, const Label& bwd, std::int32_t me
     u = arcs_[static_cast<std::size_t>(ai)].from;
   }
   for (auto it = fwd_chain.rbegin(); it != fwd_chain.rend(); ++it) unpack(unpack, *it);
-  // Backward half. Directed engines keep true backward labels: each parent
-  // arc leads from the current node toward the target, so the walk already
-  // emits arcs in apex -> t order.
-  if (opts_.directed) {
-    for (std::int32_t u = meet;;) {
-      const std::int32_t ai = parent_of(bwd, u);
-      if (ai < 0) break;
-      unpack(unpack, ai);
-      u = arcs_[static_cast<std::size_t>(ai)].to;
-    }
-    return;
-  }
-  // Undirected engines share one label cache, so `bwd` is a *forward* label
-  // from t and its parent arcs point toward the apex. Unpack each hop and
-  // reverse its leaves in place: the result lists the apex -> t hops in
+  // Backward half: both sides share one label cache, so `bwd` is an upward
+  // label from t and its parent arcs point toward the apex. Unpack each hop
+  // and reverse its leaves in place: the result lists the apex -> t hops in
   // path order, every leaf being the weight-equal twin of the true arc, so
   // the re-summation downstream is bitwise identical.
   for (std::int32_t u = meet;;) {
@@ -496,22 +461,19 @@ void ChEngine::unpack_updown(const Label& fwd, const Label& bwd, std::int32_t me
 // Query
 // ---------------------------------------------------------------------------
 
-ChEngine::Query::Query(const ChEngine& engine)
-    : ch_(engine), builder_(engine), cache_(engine) {}
+ChEngine::Query::Query(const ChEngine& engine) : ch_(engine), builder_(engine) {}
 
 void ChEngine::Query::reset_counters() {
   computations_ = 0;
   settled_ = 0;
 }
 
-const ChEngine::Label& ChEngine::Query::label(bool forward, std::int32_t src,
-                                              double bound) {
-  return cache_.get(forward, src, bound, builder_, settled_);
+const ChEngine::Label& ChEngine::Query::label(std::int32_t src, double bound) {
+  return cache_.get(src, bound, builder_, settled_);
 }
 
-void ChEngine::Query::run_batch(NodeId s, std::span<const NodeId> targets,
-                                std::span<double> out, double bound,
-                                std::vector<std::int32_t>* leaves_of_first) {
+void ChEngine::Query::distances(NodeId s, std::span<const NodeId> targets,
+                                std::span<double> out, double bound) {
   NEAT_EXPECT(out.size() == targets.size(),
               "ChEngine: output size must match target count");
   static_cast<void>(ch_.net_.node(s));
@@ -522,10 +484,10 @@ void ChEngine::Query::run_batch(NodeId s, std::span<const NodeId> targets,
   cache_.maybe_evict();
   if (targets.empty()) return;
 
-  const Label& fwd = label(/*forward=*/true, s.value(), bound);
+  const Label& fwd = label(s.value(), bound);
   for (std::size_t k = 0; k < targets.size(); ++k) {
     static_cast<void>(ch_.net_.node(targets[k]));
-    const Label& bwd = label(/*forward=*/false, targets[k].value(), bound);
+    const Label& bwd = label(targets[k].value(), bound);
     // Sorted two-pointer merge: the cheapest meet over common label nodes
     // is the apex of a shortest up-down path (or no meet: unreachable /
     // beyond the bound).
@@ -552,15 +514,12 @@ void ChEngine::Query::run_batch(NodeId s, std::span<const NodeId> targets,
       total += ch_.arcs_[static_cast<std::size_t>(ai)].w;
     }
     out[k] = total > bound ? kInfDistance : total;
-    if (k == 0 && leaves_of_first != nullptr && out[k] < kInfDistance) {
-      *leaves_of_first = leaves_scratch_;
-    }
   }
 }
 
 double ChEngine::Query::distance(NodeId s, NodeId t, double bound) {
   double out = kInfDistance;
-  run_batch(s, std::span<const NodeId>(&t, 1), std::span<double>(&out, 1), bound, nullptr);
+  distances(s, std::span<const NodeId>(&t, 1), std::span<double>(&out, 1), bound);
   return out;
 }
 
@@ -568,34 +527,10 @@ double ChEngine::Query::distance_to_any(NodeId s, std::span<const NodeId> target
                                         double bound) {
   if (targets.empty()) return kInfDistance;
   any_scratch_.assign(targets.size(), kInfDistance);
-  run_batch(s, targets, any_scratch_, bound, nullptr);
+  distances(s, targets, any_scratch_, bound);
   double best = kInfDistance;
   for (const double d : any_scratch_) best = std::min(best, d);
   return best;
-}
-
-void ChEngine::Query::distances(NodeId s, std::span<const NodeId> targets,
-                                std::span<double> out, double bound) {
-  run_batch(s, targets, out, bound, nullptr);
-}
-
-std::optional<Route> ChEngine::Query::route(NodeId s, NodeId t) {
-  NEAT_EXPECT(ch_.opts_.directed, "ChEngine: route() requires a directed engine");
-  std::vector<std::int32_t> leaves;
-  double out = kInfDistance;
-  run_batch(s, std::span<const NodeId>(&t, 1), std::span<double>(&out, 1), kInfDistance,
-            &leaves);
-  if (out == kInfDistance) return std::nullopt;
-  Route route;
-  route.edges.reserve(leaves.size());
-  for (const std::int32_t ai : leaves) {
-    const Arc& a = ch_.arcs_[static_cast<std::size_t>(ai)];
-    route.edges.push_back(a.eid);
-    const Segment& seg = ch_.net_.segment(ch_.net_.edge(a.eid).sid);
-    route.length += seg.length;
-    route.travel_time += seg.length / seg.speed_limit;
-  }
-  return route;
 }
 
 }  // namespace neat::roadnet

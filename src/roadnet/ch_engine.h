@@ -1,12 +1,20 @@
 // Contraction Hierarchies (Geisberger et al. 2008) over road networks.
 //
+// The hierarchy answers the undirected network distance (metres) of NEAT
+// Phase 3 — every segment traversable both ways regardless of its one-way
+// flag (§III-C.3), the metric of NodeDistanceOracle. Directed trip routes
+// come from reverse shortest-path trees instead (sim::TripPlanner).
+//
 // A one-time preprocessing pass contracts nodes in importance order (lazy
 // edge-difference heuristic), inserting shortcut arcs that preserve all
 // shortest-path distances among the not-yet-contracted nodes. Queries then
 // run two tiny Dijkstra searches that only climb *upward* in the contraction
-// order — forward from the source, backward from the target — and meet at
-// the apex of a shortest up-down path. Stall-on-demand prunes upward labels
-// that a higher-ranked detour already beats.
+// order — one from the source, one from the target — and meet at the apex
+// of a shortest up-down path. Stall-on-demand prunes upward labels that a
+// higher-ranked detour already beats. Every shortcut is inserted together
+// with its reverse twin, so the hierarchy is arc-symmetric: the backward
+// search from a target settles exactly what a forward search from it does,
+// and one label per node serves both sides of a query.
 //
 // Each upward search depends only on its endpoint and the query bound, so a
 // Query memoizes the resulting label (the bucket entries of the classic CH
@@ -33,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -44,28 +51,11 @@
 
 namespace neat::roadnet {
 
-/// Preprocessing/query options of ChEngine (namespace scope so it is
-/// complete where the constructor's default argument needs it).
-struct ChOptions {
-  /// false: the undirected metric of NEAT Phase 3 (every segment
-  /// traversable both ways, matching NodeDistanceOracle); true: one-way
-  /// aware routing over directed edges (supports route()).
-  bool directed{false};
-  /// Arc weight: segment length (metres) or length / speed limit (s).
-  Metric metric{Metric::kDistance};
-  /// Settled-node budget of each witness search during preprocessing.
-  /// Exhausting it inserts a (possibly redundant) shortcut — never wrong,
-  /// only larger; raising the budget trades build time for query speed.
-  int witness_settle_limit{64};
-};
-
 class CHTableEngine;
 
 /// Exact shortest-distance engine with Contraction Hierarchies preprocessing.
 class ChEngine {
  public:
-  using Options = ChOptions;
-
   /// One settled node of an upward search: its exact upward distance from
   /// the label's endpoint and the hierarchy arc it was reached through
   /// (-1 at the endpoint itself). Sorted by node id for merge scans.
@@ -89,10 +79,10 @@ class ChEngine {
    public:
     explicit LabelBuilder(const ChEngine& engine);
 
-    /// Runs the upward Dijkstra from `src` on the forward (`fwd_graph`) or
-    /// reverse upward graph, pruned at `bound`, and overwrites `out` with
-    /// the settled entries sorted by node id. Returns the settled count.
-    std::size_t build(bool fwd_graph, std::int32_t src, double bound, Label& out);
+    /// Runs the upward Dijkstra from `src`, pruned at `bound`, and
+    /// overwrites `out` with the settled entries sorted by node id. Returns
+    /// the settled count.
+    std::size_t build(std::int32_t src, double bound, Label& out);
 
    private:
     const ChEngine& ch_;
@@ -105,19 +95,16 @@ class ChEngine {
 
   /// Memoized upward labels keyed by endpoint node, built out to the
   /// requested bound and rebuilt only when a later call asks for a larger
-  /// one. Undirected hierarchies are arc-symmetric (contract() inserts
-  /// shortcut twins), so the backward label of a node carries the same
-  /// (node, dist) set as its forward label — both directions share one
-  /// cache and one build. unpack_updown() compensates for the flipped
-  /// parent arcs. Not thread safe.
+  /// one. The hierarchy is arc-symmetric (contract() inserts shortcut
+  /// twins), so a node's label serves as its backward label too — both
+  /// sides of a query share one cache and one build. unpack_updown()
+  /// compensates for the flipped parent arcs. Not thread safe.
   class LabelCache {
    public:
-    explicit LabelCache(const ChEngine& engine);
-
     /// Cached upward label of `src`, built via `builder` on a miss (or on a
     /// larger bound); settled nodes of any build are added to `settled`.
-    const Label& get(bool forward, std::int32_t src, double bound,
-                     LabelBuilder& builder, std::size_t& settled);
+    const Label& get(std::int32_t src, double bound, LabelBuilder& builder,
+                     std::size_t& settled);
     /// Whole-cache eviction once the entry budget is exhausted (keeps
     /// unbounded query streams from growing without limit; correctness
     /// never depends on a hit). Call only between batches: merges hold
@@ -125,20 +112,17 @@ class ChEngine {
     void maybe_evict();
 
    private:
-    const ChEngine& ch_;
-    std::unordered_map<std::int32_t, Label> fwd_labels_;
-    std::unordered_map<std::int32_t, Label> bwd_labels_;
+    std::unordered_map<std::int32_t, Label> labels_;
     std::size_t cached_entries_{0};
   };
 
   /// Preprocesses the network. Throws neat::PreconditionError on an empty
   /// network. Keeps a reference to `net`; do not outlive it.
-  explicit ChEngine(const RoadNetwork& net, Options opts = {});
+  explicit ChEngine(const RoadNetwork& net);
 
   ChEngine(const ChEngine&) = delete;
   ChEngine& operator=(const ChEngine&) = delete;
 
-  [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] const RoadNetwork& network() const { return net_; }
   /// Shortcut arcs inserted by preprocessing (on top of the base arcs).
   [[nodiscard]] std::size_t shortcut_count() const { return shortcut_count_; }
@@ -157,23 +141,19 @@ class ChEngine {
    public:
     explicit Query(const ChEngine& engine);
 
-    /// Distance from `s` to `t` in the engine's metric, or kInfDistance
-    /// when unreachable or beyond `bound`.
+    /// Undirected network distance from `s` to `t` in metres, or
+    /// kInfDistance when unreachable or beyond `bound`.
     [[nodiscard]] double distance(NodeId s, NodeId t, double bound = kInfDistance);
 
     /// Distance from `s` to the closest of `targets` (min over targets).
     [[nodiscard]] double distance_to_any(NodeId s, std::span<const NodeId> targets,
                                          double bound = kInfDistance);
 
-    /// One-to-many batch: merges the source's cached forward label against
-    /// each target's cached backward label. `out.size()` must equal
-    /// `targets.size()`. Counts as one computation, like the oracle's batch.
+    /// One-to-many batch: merges the source's cached label against each
+    /// target's. `out.size()` must equal `targets.size()`. Counts as one
+    /// computation, like the oracle's batch.
     void distances(NodeId s, std::span<const NodeId> targets, std::span<double> out,
                    double bound = kInfDistance);
-
-    /// Shortest route from `s` to `t` (directed engines only; throws
-    /// neat::PreconditionError otherwise), or std::nullopt when unreachable.
-    [[nodiscard]] std::optional<Route> route(NodeId s, NodeId t);
 
     /// Query calls issued so far (a batch counts once, as in the oracle).
     [[nodiscard]] std::size_t computations() const { return computations_; }
@@ -184,11 +164,8 @@ class ChEngine {
     void reset_counters();
 
    private:
-    void run_batch(NodeId s, std::span<const NodeId> targets, std::span<double> out,
-                   double bound, std::vector<std::int32_t>* leaves_of_first);
-    /// Cached upward label of `src` (forward = relax up_fwd_, stall via
-    /// up_rev_; backward the mirror), built out to at least `bound`.
-    const Label& label(bool forward, std::int32_t src, double bound);
+    /// Cached upward label of `src`, built out to at least `bound`.
+    const Label& label(std::int32_t src, double bound);
 
     const ChEngine& ch_;
     LabelBuilder builder_;
@@ -202,25 +179,22 @@ class ChEngine {
  private:
   friend class Query;
   friend class LabelBuilder;
-  friend class LabelCache;
   friend class CHTableEngine;
 
   /// Arena arcs of the up-down path through `meet`, unpacked into base arcs
-  /// in s -> t order. `bwd` is a true backward label in directed mode and a
-  /// forward label from the target otherwise (see LabelCache).
+  /// in s -> t order. `bwd` is the label of the target, whose parent arcs
+  /// point toward the apex (see LabelCache).
   void unpack_updown(const Label& fwd, const Label& bwd, std::int32_t meet,
                      std::vector<std::int32_t>& leaves) const;
 
-  /// One arc of the hierarchy. Base arcs carry the directed edge they came
-  /// from (invalid in undirected mode); shortcuts carry the two arcs they
-  /// replace, so any hierarchy path unpacks into base arcs.
+  /// One arc of the hierarchy. Shortcuts carry the two arcs they replace,
+  /// so any hierarchy path unpacks into base arcs.
   struct Arc {
     std::int32_t from;
     std::int32_t to;
     double w;
     std::int32_t left{-1};   ///< First replaced arc (arena index), -1 = base.
     std::int32_t right{-1};  ///< Second replaced arc.
-    EdgeId eid{EdgeId::invalid()};
   };
 
   /// CSR entry of the upward search graphs: the higher-ranked endpoint,
@@ -241,7 +215,6 @@ class ChEngine {
   [[nodiscard]] std::int64_t priority(std::int32_t v);
 
   const RoadNetwork& net_;
-  Options opts_;
   std::size_t n_{0};
   std::vector<Arc> arcs_;
   std::vector<std::int32_t> rank_;
@@ -249,9 +222,8 @@ class ChEngine {
   double preprocessing_seconds_{0.0};
 
   // Upward search graphs (built once contraction finishes).
-  // up_fwd_: arcs (u -> higher rank), relaxed by the forward search and
-  // scanned by the backward search's stall test. up_rev_: arcs
-  // (higher rank -> u) stored at u, the mirror roles.
+  // up_fwd_: arcs (u -> higher rank), relaxed by every upward search.
+  // up_rev_: arcs (higher rank -> u) stored at u, scanned by its stall test.
   std::vector<std::int32_t> up_fwd_head_;
   std::vector<UpArc> up_fwd_;
   std::vector<std::int32_t> up_rev_head_;
@@ -263,9 +235,9 @@ class ChEngine {
   std::vector<char> contracted_;
   std::vector<std::int32_t> deleted_neighbors_;
   std::vector<std::int32_t> level_;
-  /// Reverse-direction twin of each arc (undirected mode only): base arcs
-  /// pair up as i <-> i^1, shortcut twins are appended together. Lets
-  /// contract() build the reverse shortcut's unpacking children.
+  /// Reverse-direction twin of each arc: base arcs pair up as i <-> i^1,
+  /// shortcut twins are appended together. Lets contract() build the
+  /// reverse shortcut's unpacking children.
   std::vector<std::int32_t> twin_;
   std::vector<double> wdist_;
   std::vector<std::uint32_t> wstamp_;

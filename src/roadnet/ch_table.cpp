@@ -37,8 +37,7 @@ void dedup(std::span<const NodeId> nodes, std::vector<NodeId>& uniq,
 
 }  // namespace
 
-CHTableEngine::CHTableEngine(const ChEngine& engine)
-    : ch_(engine), builder_(engine), cache_(engine) {}
+CHTableEngine::CHTableEngine(const ChEngine& engine) : ch_(engine), builder_(engine) {}
 
 void CHTableEngine::reset_counters() {
   computations_ = 0;
@@ -71,8 +70,7 @@ void CHTableEngine::table(std::span<const NodeId> sources, std::span<const NodeI
   // the same CSR construction as the hierarchy's upward graphs.
   bucket_head_.assign(ch_.n_ + 1, 0);
   for (const NodeId t : uniq_targets_) {
-    const ChEngine::Label& lbl =
-        cache_.get(/*forward=*/false, t.value(), bound, builder_, settled_);
+    const ChEngine::Label& lbl = cache_.get(t.value(), bound, builder_, settled_);
     for (const ChEngine::LabelEntry& e : lbl.entries) {
       ++bucket_head_[static_cast<std::size_t>(e.node) + 1];
     }
@@ -81,8 +79,8 @@ void CHTableEngine::table(std::span<const NodeId> sources, std::span<const NodeI
   buckets_.resize(static_cast<std::size_t>(bucket_head_[ch_.n_]));
   std::vector<std::int32_t> at(bucket_head_.begin(), bucket_head_.end() - 1);
   for (std::int32_t j = 0; j < t_count; ++j) {
-    const ChEngine::Label& lbl = cache_.get(/*forward=*/false, uniq_targets_[j].value(),
-                                            bound, builder_, settled_);
+    const ChEngine::Label& lbl =
+        cache_.get(uniq_targets_[j].value(), bound, builder_, settled_);
     for (const ChEngine::LabelEntry& e : lbl.entries) {
       buckets_[static_cast<std::size_t>(at[e.node]++)] = BucketEntry{j, e.dist};
     }
@@ -95,8 +93,8 @@ void CHTableEngine::table(std::span<const NodeId> sources, std::span<const NodeI
   // most one entry per target.
   const std::size_t t_stride = targets.size();
   for (std::size_t i = 0; i < uniq_sources_.size(); ++i) {
-    const ChEngine::Label& fwd = cache_.get(/*forward=*/true, uniq_sources_[i].value(),
-                                            bound, builder_, settled_);
+    const ChEngine::Label& fwd =
+        cache_.get(uniq_sources_[i].value(), bound, builder_, settled_);
     best_.assign(static_cast<std::size_t>(t_count), kInfDistance);
     meet_.assign(static_cast<std::size_t>(t_count), -1);
     for (const ChEngine::LabelEntry& fe : fwd.entries) {
@@ -116,8 +114,7 @@ void CHTableEngine::table(std::span<const NodeId> sources, std::span<const NodeI
     for (std::int32_t j = 0; j < t_count; ++j) {
       if (meet_[static_cast<std::size_t>(j)] < 0) continue;
       const ChEngine::Label& bwd = cache_.get(
-          /*forward=*/false, uniq_targets_[static_cast<std::size_t>(j)].value(), bound,
-          builder_, settled_);
+          uniq_targets_[static_cast<std::size_t>(j)].value(), bound, builder_, settled_);
       leaves_scratch_.clear();
       ch_.unpack_updown(fwd, bwd, meet_[static_cast<std::size_t>(j)], leaves_scratch_);
       double total = 0.0;

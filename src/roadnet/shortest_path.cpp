@@ -216,63 +216,6 @@ std::optional<Route> shortest_route(const RoadNetwork& net, NodeId s, NodeId t,
   return route;
 }
 
-std::optional<Route> astar_route(const RoadNetwork& net, NodeId s, NodeId t,
-                                 Metric metric) {
-  static_cast<void>(net.node(s));
-  static_cast<void>(net.node(t));
-
-  // Heuristic scale: metres for distance, metres / max speed for time.
-  double speed_cap = 0.0;
-  if (metric == Metric::kTravelTime) {
-    for (const Segment& seg : net.segments()) speed_cap = std::max(speed_cap, seg.speed_limit);
-    if (speed_cap <= 0.0) return std::nullopt;
-  }
-  const Point goal = net.node(t).pos;
-  const auto heuristic = [&](NodeId u) {
-    const double d = distance(net.node(u).pos, goal);
-    return metric == Metric::kDistance ? d : d / speed_cap;
-  };
-
-  const std::size_t n = net.node_count();
-  std::vector<double> cost(n, kInfDistance);  // g-scores
-  std::vector<EdgeId> parent(n, EdgeId::invalid());
-  const auto idx = [](NodeId x) { return static_cast<std::size_t>(x.value()); };
-  cost[idx(s)] = 0.0;
-  MinHeap heap;  // keyed on f = g + h
-  heap.emplace(heuristic(s), s.value());
-  while (!heap.empty()) {
-    const auto [f, u_raw] = heap.top();
-    heap.pop();
-    const auto u = NodeId(u_raw);
-    if (u == t) break;
-    if (f > cost[idx(u)] + heuristic(u) + 1e-9) continue;  // stale entry
-    for (const EdgeId eid : net.out_edges(u)) {
-      const DirectedEdge& e = net.edge(eid);
-      const double nd = cost[idx(u)] + edge_weight(net, e, metric);
-      if (nd < cost[idx(e.to)]) {
-        cost[idx(e.to)] = nd;
-        parent[idx(e.to)] = eid;
-        heap.emplace(nd + heuristic(e.to), e.to.value());
-      }
-    }
-  }
-  if (cost[idx(t)] == kInfDistance) return std::nullopt;
-
-  Route route;
-  for (NodeId cur = t; cur != s;) {
-    const EdgeId eid = parent[idx(cur)];
-    route.edges.push_back(eid);
-    cur = net.edge(eid).from;
-  }
-  std::reverse(route.edges.begin(), route.edges.end());
-  for (const EdgeId eid : route.edges) {
-    const Segment& seg = net.segment(net.edge(eid).sid);
-    route.length += seg.length;
-    route.travel_time += seg.length / seg.speed_limit;
-  }
-  return route;
-}
-
 double location_distance(const RoadNetwork& net, NetworkLocation a, NetworkLocation b,
                          NodeDistanceOracle& oracle) {
   const Segment& sa = net.segment(a.sid);

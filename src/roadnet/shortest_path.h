@@ -117,14 +117,6 @@ class NodeDistanceOracle {
                                                   NodeId t, Metric metric,
                                                   double max_cost = kInfDistance);
 
-/// Directed shortest route via A*. The heuristic is the Euclidean distance
-/// (for Metric::kDistance) or Euclidean distance over the network's maximum
-/// speed limit (for Metric::kTravelTime) — admissible because segment
-/// lengths never undercut straight-line distances, so results equal
-/// shortest_route() while settling fewer nodes.
-[[nodiscard]] std::optional<Route> astar_route(const RoadNetwork& net, NodeId s, NodeId t,
-                                               Metric metric);
-
 /// A position on a segment: `offset` metres from the segment's endpoint `a`.
 struct NetworkLocation {
   SegmentId sid;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -139,14 +138,7 @@ traj::Trajectory simulate_trip(const roadnet::RoadNetwork& net, const SimConfig&
 traj::TrajectoryDataset MobilitySimulator::generate(std::size_t n_objects,
                                                     std::uint64_t seed) const {
   Rng rng(seed);
-  std::shared_ptr<const roadnet::ChEngine> ch;
-  if (config_.use_ch_routing) {
-    roadnet::ChOptions copts;
-    copts.directed = true;
-    copts.metric = config_.metric;
-    ch = std::make_shared<const roadnet::ChEngine>(net_, copts);
-  }
-  TripPlanner planner(net_, config_.metric, std::move(ch));
+  TripPlanner planner(net_, config_.metric);
   traj::TrajectoryDataset data;
   constexpr int kMaxDestinationRetries = 8;
 

@@ -56,11 +56,6 @@ struct SimConfig {
   /// (departure-time congestion — the rush-hour effect without modelling
   /// vehicle interaction). Factors must be in (0, 1].
   std::vector<CongestionWindow> congestion;
-  /// Route trips through a directed contraction hierarchy instead of
-  /// per-destination reverse SSSP trees. Route *costs* are identical; the
-  /// tie-break between equal-cost routes may differ, so this is a distinct
-  /// deterministic universe, not a drop-in replacement for existing seeds.
-  bool use_ch_routing{false};
 };
 
 /// Picks `n_hotspots` origins and `n_destinations` destinations spread over

@@ -1,25 +1,14 @@
 #include "sim/trip_planner.h"
 
-#include "common/error.h"
-
 namespace neat::sim {
 
-TripPlanner::TripPlanner(const roadnet::RoadNetwork& net, roadnet::Metric metric,
-                         std::shared_ptr<const roadnet::ChEngine> ch)
-    : net_(net), metric_(metric), ch_(std::move(ch)) {
-  if (ch_ != nullptr) {
-    NEAT_EXPECT(ch_->options().directed, "TripPlanner: CH engine must be directed");
-    NEAT_EXPECT(ch_->options().metric == metric_,
-                "TripPlanner: CH engine metric must match the planner metric");
-    NEAT_EXPECT(&ch_->network() == &net_,
-                "TripPlanner: CH engine must be built over the planner's network");
-    query_.emplace(*ch_);
-  }
-}
+TripPlanner::TripPlanner(const roadnet::RoadNetwork& net, roadnet::Metric metric)
+    : net_(net), metric_(metric) {}
 
 const roadnet::ReverseSsspTree& TripPlanner::tree_for(NodeId dest) {
   auto it = trees_.find(dest);
   if (it == trees_.end()) {
+    if (trees_.size() >= kMaxCachedDestinations) trees_.clear();
     it = trees_
              .emplace(dest, std::make_unique<roadnet::ReverseSsspTree>(net_, dest, metric_))
              .first;
@@ -28,13 +17,7 @@ const roadnet::ReverseSsspTree& TripPlanner::tree_for(NodeId dest) {
 }
 
 std::optional<roadnet::Route> TripPlanner::plan(NodeId origin, NodeId dest) {
-  if (query_) return query_->route(origin, dest);
   return tree_for(dest).route_from(origin);
-}
-
-bool TripPlanner::reachable(NodeId origin, NodeId dest) {
-  if (query_) return query_->distance(origin, dest) < roadnet::kInfDistance;
-  return tree_for(dest).reachable_from(origin);
 }
 
 }  // namespace neat::sim

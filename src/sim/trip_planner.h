@@ -1,61 +1,55 @@
-// Route planning for the mobility simulator.
+// Route planning for the mobility simulator and the /v1/route endpoint.
 //
 // Trips target a small predefined destination set while originating from
 // many distinct junctions inside the hotspot regions, so the planner caches
 // one *reverse* shortest-path tree per destination and answers every trip
 // toward it in O(route length), independent of the origin count.
 //
-// Alternatively the planner reuses a directed ChEngine (see
-// roadnet/ch_engine.h): route costs are identical, but planning stays cheap
-// even when the destination set is large or trips are ad hoc, because the
-// per-endpoint upward labels the engine's Query memoizes are tiny compared
-// to a full reverse SSSP tree per destination.
+// The cache holds at most kMaxCachedDestinations trees. A tree costs one
+// full reverse Dijkstra and about 12 bytes per junction, so a client that
+// asks for ever new destinations would otherwise pin one more tree per
+// request for the life of the process. When a new tree would exceed the
+// bound the whole cache is cleared, as ChEngine::LabelCache does. A tree is
+// a pure function of (network, destination, metric), so an eviction costs
+// only a rebuild, never a different answer.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 
-#include "roadnet/ch_engine.h"
 #include "roadnet/road_network.h"
 #include "roadnet/shortest_path.h"
 
 namespace neat::sim {
 
-/// Shortest-route planner with per-destination reverse-SSSP caching, or
-/// CH-backed planning when given an engine. Keeps a reference to the
-/// network; do not outlive it. Not thread safe.
+/// Shortest-route planner over bounded per-destination reverse-SSSP trees.
+/// Keeps a reference to the network; do not outlive it. Not thread safe.
 class TripPlanner {
  public:
-  /// `ch`, when given, must be a *directed* engine built over `net` with
-  /// the same metric (throws neat::PreconditionError otherwise); the
-  /// planner then answers plan()/reachable() from the hierarchy instead of
-  /// growing reverse SSSP trees.
-  TripPlanner(const roadnet::RoadNetwork& net, roadnet::Metric metric,
-              std::shared_ptr<const roadnet::ChEngine> ch = nullptr);
+  /// Most trees cached at once. Every simulator config uses 1-8
+  /// destinations, so trip generation never evicts.
+  static constexpr std::size_t kMaxCachedDestinations = 64;
+
+  TripPlanner(const roadnet::RoadNetwork& net, roadnet::Metric metric);
 
   /// Shortest route from `origin` to `dest` under the planner's metric, or
   /// std::nullopt when unreachable.
   [[nodiscard]] std::optional<roadnet::Route> plan(NodeId origin, NodeId dest);
 
-  /// True when `dest` is reachable from `origin`.
-  [[nodiscard]] bool reachable(NodeId origin, NodeId dest);
-
-  /// Number of cached reverse SSSP trees (one per distinct destination;
-  /// always 0 in CH mode).
+  /// Number of cached reverse SSSP trees (one per distinct destination
+  /// since the last eviction; never above kMaxCachedDestinations).
   [[nodiscard]] std::size_t cached_destinations() const { return trees_.size(); }
 
-  /// True when routes come from a contraction hierarchy.
-  [[nodiscard]] bool uses_ch() const { return query_.has_value(); }
-
  private:
+  /// The tree of `dest`, built on a miss. The reference is valid only until
+  /// the next call: a miss may clear the cache.
   const roadnet::ReverseSsspTree& tree_for(NodeId dest);
 
   const roadnet::RoadNetwork& net_;
   roadnet::Metric metric_;
   std::unordered_map<NodeId, std::unique_ptr<roadnet::ReverseSsspTree>> trees_;
-  std::shared_ptr<const roadnet::ChEngine> ch_;
-  std::optional<roadnet::ChEngine::Query> query_;
 };
 
 }  // namespace neat::sim

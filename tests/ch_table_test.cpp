@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -107,39 +106,6 @@ TEST(ChTable, MatchesPlainDijkstraOnGeneratorNetworks) {
         EXPECT_DOUBLE_EQ(cells[i * targets.size() + k],
                          oracle.distance(sources[i], targets[k]))
             << t.name << " cell (" << i << ", " << k << ")";
-      }
-    }
-  }
-}
-
-TEST(ChTable, DirectedTablesMatchDirectedDijkstra) {
-  CityParams p;
-  p.rows = 12;
-  p.cols = 12;
-  p.seed = 21;
-  p.oneway_probability = 0.35;
-  const RoadNetwork net = make_city(p);
-  const ChEngine ch(net, {.directed = true, .metric = Metric::kDistance});
-  CHTableEngine table(ch);
-  ChEngine::Query query(ch);
-  Rng rng(55);
-  const std::vector<NodeId> sources = random_nodes(rng, net, 10);
-  const std::vector<NodeId> targets = random_nodes(rng, net, 10);
-  const std::vector<double> cells = fill(table, sources, targets);
-  std::vector<double> row(targets.size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    query.distances(sources[i], targets, row, kInfDistance);
-    for (std::size_t k = 0; k < targets.size(); ++k) {
-      const double cell = cells[i * targets.size() + k];
-      EXPECT_EQ(cell, row[k]) << "cell (" << i << ", " << k << ")";
-      // Directed ground truth: the one-to-one Dijkstra route cost, infinite
-      // exactly when no directed route exists.
-      const std::optional<Route> route =
-          shortest_route(net, sources[i], targets[k], Metric::kDistance);
-      if (route) {
-        EXPECT_DOUBLE_EQ(cell, route->length);
-      } else {
-        EXPECT_EQ(cell, kInfDistance);
       }
     }
   }

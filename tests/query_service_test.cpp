@@ -14,7 +14,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -27,7 +26,6 @@
 #include "obs/log/log.h"
 #include "obs/registry.h"
 #include "roadnet/builder.h"
-#include "roadnet/ch_engine.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot.h"
 #include "sim/trip_planner.h"
@@ -306,27 +304,6 @@ TEST(QueryService, UnreachableRouteAnswers404) {
   const HttpResponse r = service.route(request({{"from", "0"}, {"to", "2"}}));
   EXPECT_EQ(r.code, 404);
   EXPECT_NE(r.body.find("\"error\":\"unreachable\""), std::string::npos) << r.body;
-}
-
-TEST(QueryService, ChBackedRouteReportsItsEngine) {
-  roadnet::RoadNetwork net = testutil::fig1_network();
-  roadnet::ChOptions copts;
-  copts.directed = true;
-  copts.metric = roadnet::Metric::kDistance;
-  const auto ch = std::make_shared<const roadnet::ChEngine>(net, copts);
-  serve::SnapshotStore store;
-  const serve::QueryEngine engine(net, store);
-  sim::TripPlanner planner(net, roadnet::Metric::kDistance, ch);
-  obs::Registry registry;
-  const QueryService service(net, engine, &planner, registry);
-
-  const HttpResponse r =
-      service.route(request({{"from", "0"}, {"to", "2"}, {"trace_id", "42"}}));
-  EXPECT_EQ(r.code, 200);
-  // Same route as the SSSP golden, but attributed to the hierarchy.
-  EXPECT_NE(r.body.find("\"engine\":\"ch\""), std::string::npos) << r.body;
-  EXPECT_NE(r.body.find("\"length_m\":200.000"), std::string::npos) << r.body;
-  EXPECT_NE(r.body.find("\"segments\":[0,1]"), std::string::npos) << r.body;
 }
 
 TEST(QueryService, MintsATraceIdWhenAbsentAndEchoesExplicitOnes) {

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/error.h"
 #include "roadnet/generators.h"
@@ -35,7 +34,7 @@ TEST(TripPlanner, CachesPerDestination) {
   EXPECT_EQ(planner.cached_destinations(), 1u);
   ASSERT_TRUE(planner.plan(NodeId(24), NodeId(0)).has_value());
   EXPECT_EQ(planner.cached_destinations(), 2u);
-  EXPECT_TRUE(planner.reachable(NodeId(0), NodeId(7)));
+  EXPECT_TRUE(planner.plan(NodeId(0), NodeId(7)).has_value());
 }
 
 TEST(TripPlanner, RoutesMatchForwardSearch) {
@@ -50,83 +49,23 @@ TEST(TripPlanner, RoutesMatchForwardSearch) {
       EXPECT_NEAR(planned->length, direct->length, 1e-9);
     }
   }
-}
 
-TEST(TripPlanner, ChBackedRoutesMatchReverseSsspCosts) {
-  roadnet::CityParams params;
-  params.rows = 12;
-  params.cols = 12;
-  params.oneway_probability = 0.3;
-  params.seed = 9;
-  const roadnet::RoadNetwork net = roadnet::make_city(params);
-  for (const roadnet::Metric metric :
-       {roadnet::Metric::kDistance, roadnet::Metric::kTravelTime}) {
-    roadnet::ChOptions copts;
-    copts.directed = true;
-    copts.metric = metric;
-    const auto ch = std::make_shared<const roadnet::ChEngine>(net, copts);
-    TripPlanner plain(net, metric);
-    TripPlanner hierarchic(net, metric, ch);
-    EXPECT_TRUE(hierarchic.uses_ch());
-    const auto n = static_cast<std::int32_t>(net.node_count());
-    for (std::int32_t s = 0; s < n; s += 17) {
-      for (std::int32_t t = n - 1; t > 0; t -= 23) {
-        const auto a = plain.plan(NodeId(s), NodeId(t));
-        const auto b = hierarchic.plan(NodeId(s), NodeId(t));
-        ASSERT_EQ(a.has_value(), b.has_value());
-        EXPECT_EQ(plain.reachable(NodeId(s), NodeId(t)), a.has_value());
-        EXPECT_EQ(hierarchic.reachable(NodeId(s), NodeId(t)), a.has_value());
-        if (!a) continue;
-        // Equal-cost routes may differ in the tie-break; the metric total
-        // must match exactly.
-        if (metric == roadnet::Metric::kDistance) {
-          EXPECT_DOUBLE_EQ(a->length, b->length);
-        } else {
-          EXPECT_DOUBLE_EQ(a->travel_time, b->travel_time);
-        }
+  // More distinct destinations than the cache holds, visited twice: every
+  // eviction must leave the answers as they were and the cache bounded.
+  const roadnet::RoadNetwork grid = roadnet::make_grid(12, 12, 100.0);
+  TripPlanner bounded(grid, roadnet::Metric::kDistance);
+  const auto n = static_cast<std::int32_t>(grid.node_count());
+  ASSERT_GT(static_cast<std::size_t>(n), TripPlanner::kMaxCachedDestinations);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::int32_t t = 0; t < n; ++t) {
+      const auto planned = bounded.plan(NodeId(5), NodeId(t));
+      const auto direct =
+          roadnet::shortest_route(grid, NodeId(5), NodeId(t), roadnet::Metric::kDistance);
+      ASSERT_EQ(planned.has_value(), direct.has_value()) << "to " << t;
+      if (planned) {
+        EXPECT_DOUBLE_EQ(planned->length, direct->length) << "to " << t;
       }
-    }
-    EXPECT_EQ(hierarchic.cached_destinations(), 0u);
-  }
-}
-
-TEST(TripPlanner, RejectsMismatchedChEngine) {
-  const roadnet::RoadNetwork net = roadnet::make_grid(4, 4, 100.0);
-  const auto undirected = std::make_shared<const roadnet::ChEngine>(net);
-  EXPECT_THROW(TripPlanner(net, roadnet::Metric::kDistance, undirected),
-               PreconditionError);
-  roadnet::ChOptions copts;
-  copts.directed = true;
-  copts.metric = roadnet::Metric::kTravelTime;
-  const auto timed = std::make_shared<const roadnet::ChEngine>(net, copts);
-  EXPECT_THROW(TripPlanner(net, roadnet::Metric::kDistance, timed), PreconditionError);
-  EXPECT_NO_THROW(TripPlanner(net, roadnet::Metric::kTravelTime, timed));
-}
-
-TEST(MobilitySimulator, ChRoutingKeepsTripInvariantsAndDeterminism) {
-  roadnet::CityParams params;
-  params.rows = 10;
-  params.cols = 10;
-  params.seed = 4;
-  const roadnet::RoadNetwork net = roadnet::make_city(params);
-  SimConfig cfg = default_config(net, 2, 3);
-  cfg.use_ch_routing = true;
-  const MobilitySimulator simulator(net, cfg);
-  const traj::TrajectoryDataset a = simulator.generate(40, 11);
-  const traj::TrajectoryDataset b = simulator.generate(40, 11);
-  ASSERT_GT(a.size(), 0u);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].size(), b[i].size());
-    for (std::size_t p = 0; p < a[i].size(); ++p) {
-      EXPECT_EQ(a[i].points()[p].sid, b[i].points()[p].sid);
-      EXPECT_EQ(a[i].points()[p].pos.x, b[i].points()[p].pos.x);
-    }
-    for (const traj::Location& loc : a[i].points()) {
-      const roadnet::Segment& s = net.segment(loc.sid);
-      const double d =
-          point_segment_distance(loc.pos, net.node(s.a).pos, net.node(s.b).pos);
-      EXPECT_LT(d, 1e-6) << "sample must lie on its claimed segment";
+      ASSERT_LE(bounded.cached_destinations(), TripPlanner::kMaxCachedDestinations);
     }
   }
 }
