@@ -10,6 +10,7 @@
 #include <iostream>
 #include <limits>
 
+#include "paper_bench_log.h"
 #include "common/string_util.h"
 #include "core/clusterer.h"
 #include "eval/experiments.h"
@@ -19,6 +20,7 @@
 using namespace neat;
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Ablations: SF weights, beta, minCard, ELB (ATL1000)");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
   const roadnet::RoadNetwork& net = env.network("ATL");

@@ -6,6 +6,7 @@
 // bound.
 #include <iostream>
 
+#include "paper_bench_log.h"
 #include "baselines/trajectory_optics.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -18,6 +19,7 @@
 using namespace neat;
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Baselines: NEAT vs TraClus vs Trajectory-OPTICS");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
   const roadnet::RoadNetwork& net = env.network("ATL");

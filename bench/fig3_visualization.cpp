@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "paper_bench_log.h"
 #include "common/string_util.h"
 #include "core/clusterer.h"
 #include "eval/experiments.h"
@@ -54,6 +55,7 @@ void dump_trajectories(const traj::TrajectoryDataset& data, const std::string& p
 }  // namespace
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Figure 3: NEAT clustering results on ATL500");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
   const roadnet::RoadNetwork& net = env.network("ATL");

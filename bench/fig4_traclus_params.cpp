@@ -10,6 +10,7 @@
 #include <cmath>
 #include <iostream>
 
+#include "paper_bench_log.h"
 #include "common/string_util.h"
 #include "eval/experiments.h"
 #include "eval/metrics.h"
@@ -19,6 +20,7 @@
 using namespace neat;
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Figure 4: TraClus parameter sensitivity on ATL500");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
   const traj::TrajectoryDataset& data = env.dataset("ATL", 500);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <iostream>
 
+#include "paper_bench_log.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/clusterer.h"
@@ -22,6 +23,7 @@
 using namespace neat;
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Figure 5: flow-NEAT vs TraClus (ATL datasets)");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
   const roadnet::RoadNetwork& net = env.network("ATL");

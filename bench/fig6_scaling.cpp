@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "paper_bench_log.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/clusterer.h"
@@ -69,6 +70,7 @@ struct RegistrySample {
 }  // namespace
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Figure 6: NEAT scaling (MIA datasets)");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
   const roadnet::RoadNetwork& net = env.network("MIA");

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "paper_bench_log.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/clusterer.h"
@@ -154,6 +155,7 @@ void run_city(const char* city, eval::ExperimentEnv& env, bench::BenchJson& json
 }  // namespace
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(
       std::cout,
       "Figure 7: pruning ladder (none / ELB / ELB+landmark / ELB+CH-nolm / ELB+CH) in Phase 3");

@@ -10,6 +10,7 @@
 // cost the distance-ladder benchmarks amortise.
 #include <iostream>
 
+#include "paper_bench_log.h"
 #include "common/string_util.h"
 #include "eval/experiments.h"
 #include "eval/table.h"
@@ -39,6 +40,7 @@ constexpr PaperRow kPaper[] = {
 }  // namespace
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Table I: road networks");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
 

@@ -7,6 +7,7 @@
 // scale-invariant quantity to compare.
 #include <iostream>
 
+#include "paper_bench_log.h"
 #include "common/string_util.h"
 #include "eval/experiments.h"
 #include "eval/table.h"
@@ -25,6 +26,7 @@ constexpr std::size_t kPaperPoints[3][5] = {
 }  // namespace
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Table II: trajectory datasets");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
 

@@ -6,6 +6,7 @@
 // measured flow counts plus the Phase 3 work that goes with them.
 #include <iostream>
 
+#include "paper_bench_log.h"
 #include "common/string_util.h"
 #include "core/clusterer.h"
 #include "eval/experiments.h"
@@ -14,6 +15,7 @@
 using namespace neat;
 
 int main() {
+  bench::default_logs_to_warn();
   eval::print_scale_banner(std::cout, "Table III: flow clusters produced by opt-NEAT (SJ)");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
 

@@ -7,12 +7,11 @@
 
 namespace neat {
 
-void BaseCluster::add(const TFragment& fragment) {
-  NEAT_EXPECT(fragment.sid == sid_,
-              str_cat("fragment on segment ", fragment.sid.value(),
-                      " added to base cluster of segment ", sid_.value()));
+void BaseCluster::add(SegmentId sid, TrajectoryId trid) {
+  NEAT_EXPECT(sid == sid_, str_cat("fragment on segment ", sid.value(),
+                                   " added to base cluster of segment ", sid_.value()));
   ++density_;
-  participants_.push_back(fragment.trid);
+  if (participants_.empty() || participants_.back() != trid) participants_.push_back(trid);
   finalized_ = false;
 }
 

@@ -7,14 +7,14 @@
 // set is the dense-core, where Phase 2 starts.
 //
 // Phases 2–3 read nothing else, so a base cluster keeps only the fragment
-// count and the participant list; the fragments themselves stay available
-// per trajectory through Fragmenter::fragment.
+// count and the participant list, and Phase 1 hands it only each fragment's
+// segment and trajectory ids; the fragments themselves stay available per
+// trajectory through Fragmenter::fragment.
 #pragma once
 
 #include <vector>
 
 #include "common/ids.h"
-#include "core/fragment.h"
 
 namespace neat {
 
@@ -28,8 +28,11 @@ class BaseCluster {
   /// The representative road segment e_S.
   [[nodiscard]] SegmentId sid() const { return sid_; }
 
-  /// Counts a t-fragment; it must lie on this cluster's segment.
-  void add(const TFragment& fragment);
+  /// Counts a t-fragment of trajectory `trid` on segment `sid`, which must
+  /// be this cluster's segment. A participant equal to the last one recorded
+  /// is not stored again: Phase 1 adds one trajectory's fragments in a row,
+  /// so a trajectory that revisits the segment is stored once.
+  void add(SegmentId sid, TrajectoryId trid);
 
   /// Sorts and deduplicates the participant list. Must be called after the
   /// last add() and before participants()/cardinality()/netflow use.

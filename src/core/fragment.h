@@ -1,11 +1,15 @@
 // t-fragments — the atomic clustering unit of NEAT (paper Definition 1).
 //
 // A t-fragment is a maximal sub-trajectory whose points all lie on one road
-// segment. Phase 1 compresses each fragment to its entry and exit locations
-// (the paper keeps "only the first and the last point in the original
-// trajectory … together with the newly inserted road junction points"),
-// which is sufficient for all later phases while preserving travel route,
-// movement direction, and the originating trajectory id.
+// segment. A TFragment compresses it to its entry and exit locations (the
+// paper keeps "only the first and the last point in the original trajectory
+// … together with the newly inserted road junction points"), preserving
+// travel route, movement direction, and the originating trajectory id.
+//
+// TFragment is what Fragmenter::fragment() returns per trajectory, for
+// inspection, tests and benches. The Phase 1 fold into base clusters reads
+// only each fragment's `sid` and `trid`, so build_base_clusters never holds
+// TFragments: its batches keep segment ids.
 #pragma once
 
 #include <cstdint>

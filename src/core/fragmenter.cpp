@@ -116,11 +116,12 @@ std::optional<GapRepair> repair_gap(const RoadNetwork& net, SegmentId from, Segm
   return repair;
 }
 
-/// Shared Phase 1 walk. Emits fragments into `fragments` (if non-null) and
-/// the augmented point sequence into `augmented` (if non-null).
-void walk(const RoadNetwork& net, const traj::Trajectory& tr,
-          std::vector<TFragment>* fragments, traj::Trajectory* augmented,
-          std::size_t* gap_repairs) {
+/// Shared Phase 1 walk. Hands each closed fragment, in travel order, to
+/// `emit(const TFragment&)`, and appends the augmented point sequence to
+/// `augmented` (if non-null).
+template <typename Sink>
+void walk(const RoadNetwork& net, const traj::Trajectory& tr, const Sink& emit,
+          traj::Trajectory* augmented, std::size_t* gap_repairs) {
   if (tr.empty()) return;
   for (std::size_t i = 0; i < tr.size(); ++i) {
     static_cast<void>(net.segment(tr.point(i).sid));  // validates every referenced segment
@@ -140,7 +141,7 @@ void walk(const RoadNetwork& net, const traj::Trajectory& tr,
     traj::Location exit_loc = boundary;
     exit_loc.sid = cur.sid;
     cur.exit = exit_loc;
-    if (fragments != nullptr) fragments->push_back(cur);
+    emit(cur);
     traj::Location entry_loc = boundary;
     entry_loc.sid = next_sid;
     cur = TFragment{};
@@ -199,7 +200,7 @@ void walk(const RoadNetwork& net, const traj::Trajectory& tr,
         }
       } else {
         // Unrepairable (different components): break the trajectory here.
-        if (fragments != nullptr) fragments->push_back(cur);
+        emit(cur);
         cur = TFragment{};
         cur.trid = tr.id();
         cur.sid = p.sid;
@@ -211,7 +212,7 @@ void walk(const RoadNetwork& net, const traj::Trajectory& tr,
     ++cur.num_samples;
     if (augmented != nullptr) augmented->append(p);
   }
-  if (fragments != nullptr) fragments->push_back(cur);
+  emit(cur);
 }
 
 /// Bulk registry update once per build, so per-fragment loops stay free of
@@ -227,56 +228,75 @@ void record_phase1_counters(std::size_t trajectories, const Phase1Output& out) {
 /// The one Phase 1 body behind both build_base_clusters overloads.
 /// `trajectory_at(i)` yields trajectory i (a reference into a dataset, or a
 /// trajectory materialized by a source); `batch_done(begin, end)` runs after
-/// each batch. Each batch is fragmented across the workers into per-index
-/// slots, then folded serially in dataset order into one running table of
-/// base clusters, so the output does not depend on the thread count.
+/// each batch. Each batch is walked across the workers into per-index slots
+/// that keep only each fragment's segment id, the one field the fold reads
+/// besides the trajectory id. The slots are then folded serially in dataset
+/// order into one running table of base clusters, so the output does not
+/// depend on the thread count.
 template <typename TrajectoryAt, typename BatchDone>
-Phase1Output build_phase1(const Fragmenter& fragmenter, std::size_t segment_count,
-                          std::size_t total, unsigned n_threads,
+Phase1Output build_phase1(const RoadNetwork& net, std::size_t total, unsigned n_threads,
                           const TrajectoryAt& trajectory_at, const BatchDone& batch_done) {
   obs::ScopedSpan span("phase1.build_base_clusters");
   Phase1Output out;
-  std::vector<std::int32_t> cluster_of(segment_count, -1);  // segment -> table slot
+  std::vector<std::int32_t> cluster_of(net.segment_count(), -1);  // segment -> table slot
   std::vector<BaseCluster> clusters;
   std::unordered_set<TrajectoryId> seen_ids;
   seen_ids.reserve(total);
 
   const std::size_t batch_capacity = std::min(total, Fragmenter::kBatchSize);
   std::vector<TrajectoryId> ids(batch_capacity);
-  std::vector<std::vector<TFragment>> fragments(batch_capacity);
+  std::vector<std::vector<SegmentId>> segments(batch_capacity);  // fragment sids per trajectory
   std::vector<std::size_t> gap_repairs(parallel_workers(batch_capacity, n_threads), 0);
   std::size_t batches = 0;
   for (std::size_t begin = 0; begin < total; begin += Fragmenter::kBatchSize, ++batches) {
     const std::size_t count = std::min(Fragmenter::kBatchSize, total - begin);
-    parallel_for(count, n_threads, 1, [&](unsigned worker, ChunkCursor& cursor) {
-      while (const std::optional<IndexRange> chunk = cursor.next()) {
-        for (std::size_t k = chunk->begin; k < chunk->end; ++k) {
-          const traj::Trajectory& tr = trajectory_at(begin + k);
-          ids[k] = tr.id();
-          fragments[k] = fragmenter.fragment(tr, &gap_repairs[worker]);
+    std::size_t batch_fragments = 0;
+    {
+      obs::ScopedSpan fragment_span("phase1.fragment");
+      parallel_for(count, n_threads, 1, [&](unsigned worker, ChunkCursor& cursor) {
+        while (const std::optional<IndexRange> chunk = cursor.next()) {
+          for (std::size_t k = chunk->begin; k < chunk->end; ++k) {
+            const traj::Trajectory& tr = trajectory_at(begin + k);
+            ids[k] = tr.id();
+            std::vector<SegmentId>& sids = segments[k];
+            walk(net, tr, [&sids](const TFragment& f) { sids.push_back(f.sid); }, nullptr,
+                 &gap_repairs[worker]);
+          }
         }
-      }
-    });
-    for (std::size_t k = 0; k < count; ++k) {
-      NEAT_EXPECT(seen_ids.insert(ids[k]).second,
-                  str_cat("trajectory id ", ids[k].value(), " repeats (at index ", begin + k,
-                          "); trajectory ids must be unique"));
-      for (const TFragment& f : fragments[k]) {
-        std::int32_t& slot = cluster_of[static_cast<std::size_t>(f.sid.value())];
-        if (slot < 0) {
-          slot = static_cast<std::int32_t>(clusters.size());
-          clusters.emplace_back(f.sid);
-        }
-        clusters[static_cast<std::size_t>(slot)].add(f);
-      }
-      out.num_fragments += fragments[k].size();
-      fragments[k] = {};  // hold no more than the batch being folded
+      });
+      for (std::size_t k = 0; k < count; ++k) batch_fragments += segments[k].size();
+      fragment_span.arg("trajectories", static_cast<std::uint64_t>(count));
+      fragment_span.arg("fragments", static_cast<std::uint64_t>(batch_fragments));
     }
+    {
+      obs::ScopedSpan fold_span("phase1.fold");
+      fold_span.arg("trajectories", static_cast<std::uint64_t>(count));
+      fold_span.arg("fragments", static_cast<std::uint64_t>(batch_fragments));
+      for (std::size_t k = 0; k < count; ++k) {
+        NEAT_EXPECT(seen_ids.insert(ids[k]).second,
+                    str_cat("trajectory id ", ids[k].value(), " repeats (at index ", begin + k,
+                            "); trajectory ids must be unique"));
+        for (const SegmentId sid : segments[k]) {
+          std::int32_t& slot = cluster_of[static_cast<std::size_t>(sid.value())];
+          if (slot < 0) {
+            slot = static_cast<std::int32_t>(clusters.size());
+            clusters.emplace_back(sid);
+          }
+          clusters[static_cast<std::size_t>(slot)].add(sid, ids[k]);
+        }
+        segments[k] = {};  // hold no more than the batch being folded
+      }
+    }
+    out.num_fragments += batch_fragments;
     batch_done(begin, begin + count);
   }
 
-  for (BaseCluster& c : clusters) c.finalize();
-  sort_by_density(clusters);
+  {
+    obs::ScopedSpan finalize_span("phase1.finalize");
+    finalize_span.arg("base_clusters", static_cast<std::uint64_t>(clusters.size()));
+    for (BaseCluster& c : clusters) c.finalize();
+    sort_by_density(clusters);
+  }
   out.base_clusters = std::move(clusters);
   for (const std::size_t g : gap_repairs) out.num_gap_repairs += g;
 
@@ -298,27 +318,27 @@ Fragmenter::Fragmenter(const roadnet::RoadNetwork& net) : net_(net) {}
 std::vector<TFragment> Fragmenter::fragment(const traj::Trajectory& tr,
                                             std::size_t* gap_repairs) const {
   std::vector<TFragment> out;
-  walk(net_, tr, &out, nullptr, gap_repairs);
+  walk(net_, tr, [&out](const TFragment& f) { out.push_back(f); }, nullptr, gap_repairs);
   return out;
 }
 
 traj::Trajectory Fragmenter::augmented(const traj::Trajectory& tr) const {
   traj::Trajectory out(tr.id());
-  walk(net_, tr, nullptr, &out, nullptr);
+  walk(net_, tr, [](const TFragment&) {}, &out, nullptr);
   return out;
 }
 
 Phase1Output Fragmenter::build_base_clusters(const traj::TrajectoryDataset& data,
                                              unsigned n_threads) const {
   return build_phase1(
-      *this, net_.segment_count(), data.size(), n_threads,
+      net_, data.size(), n_threads,
       [&](std::size_t i) -> const traj::Trajectory& { return data[i]; },
       [](std::size_t, std::size_t) {});
 }
 
 Phase1Output Fragmenter::build_base_clusters(TrajectorySource& source, unsigned n_threads) const {
   return build_phase1(
-      *this, net_.segment_count(), source.size(), n_threads,
+      net_, source.size(), n_threads,
       [&](std::size_t i) { return source.at(i); },
       [&](std::size_t begin, std::size_t end) { source.batch_done(begin, end); });
 }

@@ -82,15 +82,15 @@ class Fragmenter {
 
   /// Out-of-core Phase 1: the same build, walking `source` in batches of
   /// kBatchSize trajectories and calling source.batch_done() after each,
-  /// so only one batch of trajectories and fragments is held at a time.
-  /// The output is identical to the dataset overload's on the same
-  /// trajectories at any thread count.
+  /// so only one batch of trajectories and their fragments' segment ids is
+  /// held at a time. The output is identical to the dataset overload's on
+  /// the same trajectories at any thread count.
   [[nodiscard]] Phase1Output build_base_clusters(TrajectorySource& source,
                                                  unsigned n_threads = 1) const;
 
   /// Trajectories fragmented per batch by build_base_clusters: bounds the
-  /// fragments held at once, and keeps each batch large enough to share
-  /// across many workers.
+  /// fragment segment ids (4 bytes each) held at once, and keeps each batch
+  /// large enough to share across many workers.
   static constexpr std::size_t kBatchSize = 4096;
 
  private:

@@ -13,6 +13,7 @@
 #include "common/error.h"
 #include "common/string_util.h"
 #include "obs/registry.h"
+#include "obs/trace.h"
 
 namespace neat::store {
 
@@ -170,6 +171,8 @@ ColumnarTrajectoryStore::ColumnarTrajectoryStore(const std::string& path) : path
   // writer does. Reading via the fd (not the future mapping) keeps
   // verification from inflating the resident set.
   {
+    obs::ScopedSpan span("store.verify_checksum");
+    span.arg("bytes", size_);
     const std::uint64_t sections[7][2] = {
         {actual[0], header_.num_trajectories * 8},
         {actual[1], (header_.num_trajectories + 1) * 8},

@@ -9,6 +9,7 @@
 // as the paper requires.
 #pragma once
 
+#include <type_traits>
 #include <vector>
 
 #include "common/geometry.h"
@@ -17,12 +18,25 @@
 namespace neat::traj {
 
 /// One recorded (or inserted) road-network location.
+///
+/// The members are ordered widest first, so the struct packs into 32 bytes
+/// with 3 bytes of tail padding. Putting the 4-byte `sid` first would pad it
+/// to 8 before `pos` and leave 7 bytes after the flag: 40 bytes. A dataset,
+/// the loader's parse buffers and every TFragment hold Locations by the
+/// million. The constructor keeps the (sid, pos, t, junction_point)
+/// brace-initialisation order.
 struct Location {
-  SegmentId sid;               ///< Road segment the object resides on.
+  Location() = default;
+  Location(SegmentId segment, Point position, double timestamp, bool inserted)
+      : pos(position), t(timestamp), sid(segment), junction_point(inserted) {}
+
   Point pos;                   ///< Planar position in metres.
   double t{0.0};               ///< Timestamp in seconds.
+  SegmentId sid;               ///< Road segment the object resides on.
   bool junction_point{false};  ///< True for system-inserted junction points.
 };
+static_assert(sizeof(Location) == 32, "Location must pack into 32 bytes");
+static_assert(std::is_trivially_copyable_v<Location>);
 
 /// A time-ordered sequence of locations of one mobile object.
 class Trajectory {

@@ -16,18 +16,11 @@
 namespace neat {
 namespace {
 
-TFragment frag(std::int64_t trid, std::int32_t sid) {
-  TFragment f;
-  f.trid = TrajectoryId(trid);
-  f.sid = SegmentId(sid);
-  return f;
-}
-
 TEST(BaseCluster, DensityCountsFragmentsCardinalityCountsTrajectories) {
   BaseCluster c(SegmentId(3));
-  c.add(frag(1, 3));
-  c.add(frag(1, 3));  // same trajectory again (back-and-forth trip)
-  c.add(frag(2, 3));
+  c.add(SegmentId(3), TrajectoryId(1));
+  c.add(SegmentId(3), TrajectoryId(1));  // same trajectory again (back-and-forth trip)
+  c.add(SegmentId(3), TrajectoryId(2));
   c.finalize();
   EXPECT_EQ(c.density(), 3);
   EXPECT_EQ(c.cardinality(), 2);
@@ -36,17 +29,17 @@ TEST(BaseCluster, DensityCountsFragmentsCardinalityCountsTrajectories) {
 
 TEST(BaseCluster, RejectsForeignFragments) {
   BaseCluster c(SegmentId(3));
-  EXPECT_THROW(c.add(frag(1, 4)), PreconditionError);
+  EXPECT_THROW(c.add(SegmentId(4), TrajectoryId(1)), PreconditionError);
 }
 
 TEST(BaseCluster, ParticipantsRequireFinalize) {
   BaseCluster c(SegmentId(0));
-  c.add(frag(1, 0));
+  c.add(SegmentId(0), TrajectoryId(1));
   EXPECT_THROW(static_cast<void>(c.participants()), PreconditionError);
   c.finalize();
   EXPECT_EQ(c.cardinality(), 1);
   // Adding after finalize resets the invariant.
-  c.add(frag(2, 0));
+  c.add(SegmentId(0), TrajectoryId(2));
   EXPECT_THROW(static_cast<void>(c.participants()), PreconditionError);
 }
 

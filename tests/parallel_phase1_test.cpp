@@ -12,6 +12,7 @@
 #include "core/fragmenter.h"
 #include "roadnet/generators.h"
 #include "sim/mobility_simulator.h"
+#include "test_util.h"
 
 namespace neat {
 namespace {
@@ -111,6 +112,61 @@ TEST(ParallelPhase1, MoreThreadsThanTrajectories) {
   expect_identical(fragmenter.build_base_clusters(data, 1),
                    fragmenter.build_base_clusters(data, 64));
   expect_identical(fragment_streams(fragmenter, data, 1), fragment_streams(fragmenter, data, 64));
+}
+
+// The batch seam: the last trajectory of the first Phase 1 batch and the
+// first of the second each drive out and back along a segment no other
+// trajectory uses, so each such segment's base cluster counts two fragments
+// of one participant. One more trajectory skips a segment and needs a gap
+// repair. Every thread count must match the serial build and fragment().
+TEST(ParallelPhase1, RevisitsAndGapRepairAcrossTheBatchSeam) {
+  constexpr int kCols = 6;
+  const roadnet::RoadNetwork net = roadnet::make_grid(4, kCols, 100.0);
+  const auto node = [](int row, int col) { return NodeId(row * kCols + col); };
+  constexpr std::size_t kSeam = Fragmenter::kBatchSize;  // first index of batch 2
+  const std::vector<NodeId> out_and_back[2] = {
+      {node(3, 0), node(3, 1), node(3, 2), node(3, 1), node(3, 0)},
+      {node(3, 5), node(3, 4), node(3, 3), node(3, 4), node(3, 5)}};
+  traj::TrajectoryDataset data;
+  for (std::size_t i = 0; i < kSeam + 40; ++i) {
+    const auto trid = static_cast<std::int64_t>(1000 + i);
+    if (i == kSeam - 1 || i == kSeam) {
+      data.add(testutil::make_path_trajectory(net, trid, out_and_back[i - (kSeam - 1)]));
+    } else if (i == kSeam + 1) {
+      // Samples on (0,0)-(0,1) and (0,2)-(0,3): (0,1)-(0,2) is repaired.
+      traj::Trajectory gap{TrajectoryId(trid)};
+      gap.append(traj::Location{testutil::find_segment(net, node(0, 0), node(0, 1)),
+                                Point{50.0, 0.0}, 0.0, false});
+      gap.append(traj::Location{testutil::find_segment(net, node(0, 2), node(0, 3)),
+                                Point{250.0, 0.0}, 20.0, false});
+      data.add(std::move(gap));
+    } else {
+      // Three segments along rows 0-2; row 3 is left to the two above.
+      const int row = static_cast<int>(i % 3);
+      const int col = static_cast<int>(i % 4);
+      data.add(testutil::make_path_trajectory(
+          net, trid, {node(row, col), node(row, col + 1), node(row, col + 2)}));
+    }
+  }
+
+  const Fragmenter fragmenter(net);
+  const Phase1Output serial = fragmenter.build_base_clusters(data, 1);
+  EXPECT_EQ(serial.num_gap_repairs, 1u);
+  for (const std::vector<NodeId>& path : out_and_back) {
+    const SegmentId revisited = testutil::find_segment(net, path[0], path[1]);
+    const auto it = std::find_if(serial.base_clusters.begin(), serial.base_clusters.end(),
+                                 [&](const BaseCluster& c) { return c.sid() == revisited; });
+    ASSERT_NE(it, serial.base_clusters.end()) << "segment " << revisited.value();
+    EXPECT_EQ(it->density(), 2) << "segment " << revisited.value();
+    EXPECT_EQ(it->cardinality(), 1) << "segment " << revisited.value();
+  }
+  const FragmentStreams streams = fragment_streams(fragmenter, data, 1);
+  expect_counts_streams(serial, streams);
+  for (const unsigned threads : {2u, 3u, 8u}) {
+    const Phase1Output parallel = fragmenter.build_base_clusters(data, threads);
+    expect_identical(serial, parallel);
+    expect_counts_streams(parallel, streams);
+  }
 }
 
 TEST(ParallelPhase1, EmptyDataset) {
