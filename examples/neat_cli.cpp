@@ -53,7 +53,8 @@
 #include "common/string_util.h"
 #include "core/clusterer.h"
 #include "eval/report.h"
-#include "obs/http_exporter.h"
+#include "net/admin_routes.h"
+#include "net/http_server.h"
 #include "obs/log/log.h"
 #include "obs/prof/profiler.h"
 #include "obs/registry.h"
@@ -235,12 +236,16 @@ int main(int argc, char** argv) {
     if (!opt.trace_out.empty() || opt.admin_port >= 0) {
       obs::Tracer::global().set_enabled(true);
     }
-    std::unique_ptr<obs::HttpExporter> admin;
+    std::unique_ptr<net::HttpServer> admin;
     if (opt.admin_port >= 0) {
-      obs::HttpExporterOptions hopts;
+      net::HttpServerOptions hopts;
       hopts.port = static_cast<std::uint16_t>(opt.admin_port);
-      admin = std::make_unique<obs::HttpExporter>(obs::Registry::global(), hopts,
-                                                  &obs::Tracer::global());
+      hopts.registry = &obs::Registry::global();
+      admin = std::make_unique<net::HttpServer>(hopts);
+      net::AdminRouteOptions aopts;
+      aopts.tracer = &obs::Tracer::global();
+      net::register_admin_routes(*admin, obs::Registry::global(), aopts);
+      admin->start();
       std::cout << "admin: listening on http://127.0.0.1:" << admin->port()
                 << " (/metrics /healthz /readyz /statusz /tracez /logz)\n";
     }

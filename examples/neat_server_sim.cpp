@@ -35,9 +35,9 @@
 #include "common/string_util.h"
 #include "core/result_io.h"
 #include "eval/geojson.h"
+#include "net/admin_routes.h"
 #include "net/http_server.h"
 #include "net/query_service.h"
-#include "obs/http_exporter.h"
 #include "obs/log/log.h"
 #include "obs/prof/profiler.h"
 #include "obs/registry.h"
@@ -195,19 +195,23 @@ int main(int argc, char** argv) {
   obs::ResourceSamplerOptions sopts;
   sopts.period = std::chrono::milliseconds(opt.sample_period_ms);
   obs::ResourceSampler sampler(obs::Registry::global(), sopts);
-  std::unique_ptr<obs::HttpExporter> admin;
+  std::unique_ptr<net::HttpServer> admin;
   if (opt.admin_port >= 0) {
-    obs::HttpExporterOptions hopts;
+    net::HttpServerOptions hopts;
     hopts.port = static_cast<std::uint16_t>(opt.admin_port);
-    hopts.ready = [&metrics] { return metrics.snapshot_version() > 0; };
-    hopts.status_fields = [&metrics, &ingest] {
+    hopts.registry = &obs::Registry::global();
+    admin = std::make_unique<net::HttpServer>(hopts);
+    net::AdminRouteOptions aopts;
+    aopts.tracer = &obs::Tracer::global();
+    aopts.ready = [&metrics] { return metrics.snapshot_version() > 0; };
+    aopts.status_fields = [&metrics, &ingest] {
       return str_cat("\"snapshot_version\":", metrics.snapshot_version(),
                      ",\"snapshot_age_s\":", format_fixed(metrics.snapshot_age_seconds(), 3),
                      ",\"ingest_queue_depth\":", ingest.queue_depth());
     };
+    net::register_admin_routes(*admin, obs::Registry::global(), aopts);
     try {
-      admin = std::make_unique<obs::HttpExporter>(obs::Registry::global(), hopts,
-                                                  &obs::Tracer::global());
+      admin->start();
     } catch (const Error& e) {
       NEAT_LOG(kError, "sim").msg("admin server failed to start").kv("reason", e.what());
       logger.flush();

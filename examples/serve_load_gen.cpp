@@ -35,10 +35,10 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "net/admin_routes.h"
 #include "net/http_client.h"
 #include "net/http_server.h"
 #include "net/query_service.h"
-#include "obs/http_exporter.h"
 #include "obs/log/log.h"
 #include "obs/registry.h"
 #include "roadnet/generators.h"
@@ -156,11 +156,14 @@ int main(int argc, char** argv) {
 
   // Optional admin plane: lets an operator (or CI) hit /profilez while the
   // load is in flight.
-  std::unique_ptr<obs::HttpExporter> admin;
+  std::unique_ptr<net::HttpServer> admin;
   if (admin_port >= 0) {
-    obs::HttpExporterOptions hopts;
+    net::HttpServerOptions hopts;
     hopts.port = static_cast<std::uint16_t>(admin_port);
-    admin = std::make_unique<obs::HttpExporter>(registry, hopts);
+    hopts.registry = &registry;
+    admin = std::make_unique<net::HttpServer>(hopts);
+    net::register_admin_routes(*admin, registry);
+    admin->start();
     // The machine-readable line smoke tests grep for the bound port.
     std::cout << "admin: listening on http://127.0.0.1:" << admin->port()
               << " (/metrics /healthz /readyz /statusz /tracez /profilez /logz)\n"

@@ -1,10 +1,12 @@
-// Bounded multi-producer single-consumer queue with selectable backpressure.
+// Bounded blocking queue with selectable backpressure.
 //
-// The ingest path between client submissions and the clustering worker.
-// Producers either block until space frees up or get an immediate rejection
-// (load shedding) — the two backpressure policies a serving front end needs.
-// close() wakes everyone: blocked producers return kClosed, the consumer
-// drains whatever is left and then sees end-of-stream.
+// Two hand-offs use it: serve::IngestService (client submissions to the
+// clustering worker) and net::HttpServer (accepted connections to the
+// worker pool). Producers either block until space frees up or get an
+// immediate rejection (load shedding) — the two backpressure policies a
+// serving front end needs. close() wakes everyone: blocked producers
+// return kClosed, consumers drain whatever is left and then see
+// end-of-stream.
 #pragma once
 
 #include <condition_variable>
@@ -16,7 +18,7 @@
 
 #include "common/error.h"
 
-namespace neat::serve {
+namespace neat {
 
 /// Outcome of a push attempt.
 enum class PushResult {
@@ -77,8 +79,6 @@ class BoundedQueue {
     return items_.size();
   }
 
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
  private:
   mutable std::mutex mu_;
   std::condition_variable not_full_;
@@ -88,4 +88,4 @@ class BoundedQueue {
   bool closed_{false};
 };
 
-}  // namespace neat::serve
+}  // namespace neat

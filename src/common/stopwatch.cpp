@@ -11,6 +11,4 @@ double Stopwatch::elapsed_seconds() const {
   return std::chrono::duration<double>(now - start_).count();
 }
 
-double Stopwatch::elapsed_ms() const { return elapsed_seconds() * 1000.0; }
-
 }  // namespace neat

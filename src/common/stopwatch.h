@@ -17,9 +17,6 @@ class Stopwatch {
   /// Seconds elapsed since construction or the last restart().
   [[nodiscard]] double elapsed_seconds() const;
 
-  /// Milliseconds elapsed since construction or the last restart().
-  [[nodiscard]] double elapsed_ms() const;
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

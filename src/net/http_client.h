@@ -2,8 +2,9 @@
 //
 // One request per connection (the server answers `Connection: close`), no
 // keep-alive, no TLS, no redirects — exactly enough to drive and test the
-// in-process HTTP planes (net::HttpServer, obs::HttpExporter) from load
-// generators, benches and unit tests without pulling in a dependency.
+// in-process HTTP planes (the /v1/* and admin routes on net::HttpServer)
+// from load generators, benches and unit tests without pulling in a
+// dependency.
 #pragma once
 
 #include <chrono>

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "common/error.h"
 #include "common/string_util.h"
@@ -98,6 +99,26 @@ std::vector<std::pair<std::string, std::string>> parse_query(std::string_view qu
   return params;
 }
 
+/// `options` with every zero or negative bound replaced by a working one.
+HttpServerOptions sanitized(HttpServerOptions options) {
+  if (options.worker_threads == 0) options.worker_threads = 1;
+  if (options.max_pending_connections == 0) options.max_pending_connections = 1;
+  if (options.max_request_bytes == 0) options.max_request_bytes = 1024;
+  if (options.max_request_line_bytes == 0) options.max_request_line_bytes = 256;
+  if (options.read_timeout.count() <= 0) {
+    options.read_timeout = std::chrono::milliseconds(2000);
+  }
+  return options;
+}
+
+/// True when the request head (ended by a blank line) fits within the
+/// first `cap` bytes of `request`; body or pipelined bytes may follow it.
+bool head_ends_within(std::string_view request, std::size_t cap) {
+  const std::string_view prefix = request.substr(0, cap);
+  return prefix.find("\r\n\r\n") != std::string_view::npos ||
+         prefix.find("\n\n") != std::string_view::npos;
+}
+
 }  // namespace
 
 const std::string* HttpRequest::param(std::string_view key) const {
@@ -107,15 +128,9 @@ const std::string* HttpRequest::param(std::string_view key) const {
   return nullptr;
 }
 
-HttpServer::HttpServer(HttpServerOptions options) : options_(std::move(options)) {
-  if (options_.worker_threads == 0) options_.worker_threads = 1;
-  if (options_.max_pending_connections == 0) options_.max_pending_connections = 1;
-  if (options_.max_request_bytes == 0) options_.max_request_bytes = 1024;
-  if (options_.max_request_line_bytes == 0) options_.max_request_line_bytes = 256;
-  if (options_.read_timeout.count() <= 0) {
-    options_.read_timeout = std::chrono::milliseconds(2000);
-  }
-}
+HttpServer::HttpServer(HttpServerOptions options)
+    : options_(sanitized(std::move(options))),
+      pending_(options_.max_pending_connections) {}
 
 HttpServer::~HttpServer() { stop(); }
 
@@ -203,16 +218,12 @@ void HttpServer::stop() {
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
-  queue_cv_.notify_all();
   if (acceptor_.joinable()) acceptor_.join();
+  // Nothing is pushed any more: the workers answer what is queued, then
+  // see the end of the stream.
+  pending_.close();
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
-  }
-  // Connections still queued were never answered; just release them.
-  {
-    const std::lock_guard<std::mutex> lock(queue_mu_);
-    for (const int pending_fd : pending_) ::close(pending_fd);
-    pending_.clear();
   }
   if (port_ != 0) {
     NEAT_LOG(kInfo, "net")
@@ -241,63 +252,39 @@ void HttpServer::accept_loop() {
       break;  // listen socket gone (EBADF/EINVAL after stop, or fatal)
     }
     set_socket_timeouts(fd, options_.read_timeout);
-    bool shed = false;
-    {
-      const std::lock_guard<std::mutex> lock(queue_mu_);
-      if (pending_.size() >= options_.max_pending_connections) {
-        shed = true;
-      } else {
-        pending_.push_back(fd);
-      }
+    const PushResult pushed = pending_.push(fd, /*block=*/false);
+    if (pushed == PushResult::kAccepted) continue;
+    ::close(fd);
+    if (pushed == PushResult::kClosed) break;
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.registry != nullptr) {
+      options_.registry->counter("neat_net_shed_total").add(1);
     }
-    if (shed) {
-      ::close(fd);
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      if (options_.registry != nullptr) {
-        options_.registry->counter("neat_net_shed_total").add(1);
-      }
-      // The logger's rate limiter collapses a shed storm into summary lines.
-      NEAT_LOG(kWarn, "net")
-          .msg("connection shed: pending queue full")
-          .kv("port", port_)
-          .kv("max_pending", options_.max_pending_connections);
-      if (options_.on_shed) options_.on_shed();
-    } else {
-      queue_cv_.notify_one();
-    }
+    // The logger's rate limiter collapses a shed storm into summary lines.
+    NEAT_LOG(kWarn, "net")
+        .msg("connection shed: pending queue full")
+        .kv("port", port_)
+        .kv("max_pending", options_.max_pending_connections);
   }
 }
 
 void HttpServer::worker_loop() {
-  while (true) {
-    int fd = -1;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [this] {
-        return !pending_.empty() || stopping_.load(std::memory_order_acquire);
-      });
-      if (pending_.empty()) return;  // stopping and drained
-      fd = pending_.front();
-      pending_.pop_front();
-    }
-    serve_connection(fd);
-    ::close(fd);
+  while (const std::optional<int> fd = pending_.pop()) {
+    serve_connection(*fd);
+    ::close(*fd);
   }
 }
 
 void HttpServer::serve_connection(int fd) const {
   // Read until the end of the request head (bodies are never consumed) or
   // until the size cap / timeout; a client that sends nothing valid within
-  // either bound gets an error response or a plain close.
+  // either bound gets an error response or a plain close. A read may carry
+  // body or pipelined bytes past the blank line, so the head is looked for
+  // after every read, before the cap is.
   std::string request;
   char buf[1024];
   bool head_complete = false;
   while (request.size() < options_.max_request_bytes) {
-    if (request.find("\r\n\r\n") != std::string::npos ||
-        request.find("\n\n") != std::string::npos) {
-      head_complete = true;
-      break;
-    }
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {  // EOF, timeout or error
       if (!request.empty()) {
@@ -309,6 +296,10 @@ void HttpServer::serve_connection(int fd) const {
       break;
     }
     request.append(buf, static_cast<std::size_t>(n));
+    if (head_ends_within(request, options_.max_request_bytes)) {
+      head_complete = true;
+      break;
+    }
   }
   if (request.empty()) return;  // connected and left: nothing to answer
 
@@ -411,7 +402,6 @@ void HttpServer::count_request(const std::string& path, int code) const {
                   {{"path", known ? path : "other"}, {"code", std::to_string(code)}})
         .add(1);
   }
-  if (options_.observer) options_.observer(path, code);
 }
 
 std::string HttpServer::render(const HttpResponse& r, bool include_body) {

@@ -1,12 +1,12 @@
-// Reusable embedded HTTP/1.1 server — the socket core every network plane
-// in the process shares.
+// Reusable embedded HTTP/1.1 server — the socket core both network planes
+// in the process run on.
 //
-// Extracted from the admin server (obs::HttpExporter, which is now a thin
-// set of routes on top of this class) so the public query plane
-// (net::QueryService) and any future service run on one hardened core:
-// POSIX sockets, a blocking accept loop on a background thread, a small
-// bounded worker pool, and an exact-match route table registered before
-// start().
+// A plane is a set of routes a caller registers on its own HttpServer:
+// net::QueryService::register_routes adds the public /v1/* endpoints,
+// net::register_admin_routes the operator endpoints (/metrics, /healthz,
+// ...). The core is POSIX sockets, a blocking accept loop on a background
+// thread, a small bounded worker pool, and an exact-match route table
+// registered before start().
 //
 //   net::HttpServer server(opts);
 //   server.handle("/v1/ping", [](const net::HttpRequest& q) {
@@ -26,38 +26,35 @@
 // is closed after the write, so plain `curl` always terminates.
 //
 // Hardening (all bounds tunable through HttpServerOptions):
-//   * request head capped at `max_request_bytes` — exceeding it without a
-//     blank line answers 431 Request Header Fields Too Large;
+//   * request head capped at `max_request_bytes` — no blank line ending
+//     within that many bytes answers 431 Request Header Fields Too Large;
 //   * request line capped at `max_request_line_bytes` — exceeding it
 //     answers 414 URI Too Long;
 //   * per-socket read/write timeouts (SO_RCVTIMEO/SO_SNDTIMEO) from
 //     `read_timeout`, so a stalled client can never wedge a worker or
 //     shutdown for long;
-//   * accepted connections wait in a bounded queue; when it is full the
-//     connection is closed immediately (load shedding). Sheds bump
-//     shed_total(), the `neat_net_shed_total` registry counter (when a
-//     registry is attached) and the `on_shed` hook.
+//   * accepted connections wait in a BoundedQueue of
+//     `max_pending_connections`; a connection the full queue rejects is
+//     closed immediately (load shedding) and counted in shed_total() and,
+//     when a registry is attached, `neat_net_shed_total`. stop() answers
+//     the connections already queued before it returns.
 //
 // Self-instrumentation: with `options.registry` set, every answered request
 // is counted as `neat_net_requests_total{path=...,code=...}` (path label
-// bounded to registered routes, anything else is "other"). The `observer`
-// hook additionally sees every (path, code) pair — the admin exporter uses
-// it to keep its legacy `neat_obs_http_*` counters byte-identical.
+// bounded to registered routes, anything else is "other").
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/bounded_queue.h"
 #include "obs/registry.h"
 
 namespace neat::net {
@@ -98,7 +95,7 @@ struct HttpServerOptions {
   /// Accepted connections allowed to wait for a worker before shedding.
   std::size_t max_pending_connections{16};
   /// Upper bound on the request head (request line + headers) in bytes;
-  /// exceeded without a terminating blank line answers 431.
+  /// no blank line ending within that many bytes answers 431.
   std::size_t max_request_bytes{8192};
   /// Upper bound on the request line alone; exceeded answers 414.
   std::size_t max_request_line_bytes{2048};
@@ -107,11 +104,6 @@ struct HttpServerOptions {
   /// When set, the server self-instruments into this registry:
   /// neat_net_requests_total{path,code} and neat_net_shed_total.
   obs::Registry* registry{nullptr};
-  /// Invoked (from worker threads) for every answered request with the
-  /// request path ("" when the request line never parsed) and status code.
-  std::function<void(const std::string& path, int code)> observer;
-  /// Invoked (from the acceptor thread) per shed connection.
-  std::function<void()> on_shed;
 };
 
 /// Embedded multi-threaded HTTP server with an exact-match route table.
@@ -119,8 +111,8 @@ struct HttpServerOptions {
 /// destructor) joins every thread and releases the port.
 class HttpServer {
  public:
-  /// Stores the options; no sockets or threads yet. Callbacks and handlers
-  /// are invoked from server threads and must be thread-safe.
+  /// Stores the options; no sockets or threads yet. Handlers are invoked
+  /// from server threads and must be thread-safe.
   explicit HttpServer(HttpServerOptions options = {});
   ~HttpServer();
 
@@ -137,8 +129,9 @@ class HttpServer {
   /// neat::Error when the address is unavailable; at most one call.
   void start();
 
-  /// Stops accepting, wakes and joins every thread, closes all sockets.
-  /// Idempotent; after it returns the bound port is released.
+  /// Stops accepting, answers the connections already queued, joins every
+  /// thread and closes all sockets. Idempotent; after it returns the bound
+  /// port is released.
   void stop();
 
   /// The actually bound TCP port (resolves port 0 requests); 0 before
@@ -150,7 +143,7 @@ class HttpServer {
     return served_.load(std::memory_order_relaxed);
   }
 
-  /// Connections shed because the pending queue was full.
+  /// Connections this server shed because its pending queue was full.
   [[nodiscard]] std::uint64_t shed_total() const {
     return shed_.load(std::memory_order_relaxed);
   }
@@ -161,7 +154,7 @@ class HttpServer {
   /// Dispatches one already-parsed request line through the route table and
   /// returns the full HTTP response bytes (headers always; body unless
   /// HEAD). Exposed for tests and in-process callers; socket connections go
-  /// through exactly this, so counters and observers fire here too.
+  /// through exactly this, so the request counters count here too.
   [[nodiscard]] std::string handle_request(const std::string& method,
                                            const std::string& target) const;
 
@@ -191,9 +184,7 @@ class HttpServer {
   mutable std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> shed_{0};
 
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<int> pending_;  ///< Accepted fds waiting for a worker.
+  BoundedQueue<int> pending_;  ///< Accepted fds waiting for a worker.
 
   std::vector<std::thread> workers_;
   std::thread acceptor_;  ///< Started last, after all state.

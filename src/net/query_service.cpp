@@ -13,6 +13,15 @@ namespace neat::net {
 
 namespace {
 
+/// /v1/nearest search radius when the parameter is omitted, metres.
+constexpr double kDefaultRadiusM = 500.0;
+/// Largest accepted /v1/nearest radius (grid scans grow with it).
+constexpr double kMaxRadiusM = 10000.0;
+/// /v1/topk answer size when the parameter is omitted.
+constexpr std::int64_t kDefaultK = 10;
+/// Largest accepted /v1/topk k.
+constexpr std::int64_t kMaxK = 1000;
+
 /// Internal control flow of one request: thrown by validation helpers,
 /// caught by QueryService::answer and rendered as the structured error body.
 struct RequestError {
@@ -164,12 +173,6 @@ QueryService::QueryService(const roadnet::RoadNetwork& net,
       topk_ep_(make_endpoint("net.topk", "topk")),
       route_ep_(make_endpoint("net.route", "route")),
       table_ep_(make_endpoint("net.table", "table")) {
-  NEAT_EXPECT(options_.default_radius_m > 0.0, "default_radius_m must be positive");
-  NEAT_EXPECT(options_.max_radius_m >= options_.default_radius_m,
-              "max_radius_m must cover default_radius_m");
-  NEAT_EXPECT(options_.default_k >= 1 && options_.default_k <= options_.max_k,
-              "default_k must be in [1, max_k]");
-  NEAT_EXPECT(options_.max_table_cells >= 1, "max_table_cells must be at least 1");
   registry_.set_help("neat_net_request_seconds",
                      "Query-plane request latency by endpoint.");
   registry_.set_help("neat_net_errors_total",
@@ -235,12 +238,12 @@ HttpResponse QueryService::nearest(const HttpRequest& req) const {
     const double x = require_double(req, "x");
     const double y = require_double(req, "y");
     const std::string* radius_raw = req.param("radius");
-    double radius = options_.default_radius_m;
+    double radius = kDefaultRadiusM;
     if (radius_raw != nullptr) radius = require_double(req, "radius");
-    if (radius <= 0.0 || radius > options_.max_radius_m) {
+    if (radius <= 0.0 || radius > kMaxRadiusM) {
       throw RequestError{400, "invalid_parameter",
                          str_cat("parameter 'radius' must be in (0, ",
-                                 format_fixed(options_.max_radius_m, 0), "]")};
+                                 format_fixed(kMaxRadiusM, 0), "]")};
     }
     if (engine_.snapshot() == nullptr) {
       throw RequestError{503, "no_snapshot", "no cluster snapshot published yet"};
@@ -285,11 +288,10 @@ HttpResponse QueryService::segment(const HttpRequest& req) const {
 
 HttpResponse QueryService::topk(const HttpRequest& req) const {
   return answer(topk_ep_, req, [&](std::uint64_t trace_id) {
-    const std::int64_t k =
-        optional_int(req, "k", static_cast<std::int64_t>(options_.default_k));
-    if (k < 1 || k > static_cast<std::int64_t>(options_.max_k)) {
+    const std::int64_t k = optional_int(req, "k", kDefaultK);
+    if (k < 1 || k > kMaxK) {
       throw RequestError{400, "invalid_parameter",
-                         str_cat("parameter 'k' must be in [1, ", options_.max_k, "]")};
+                         str_cat("parameter 'k' must be in [1, ", kMaxK, "]")};
     }
     if (engine_.snapshot() == nullptr) {
       throw RequestError{503, "no_snapshot", "no cluster snapshot published yet"};
@@ -365,11 +367,11 @@ HttpResponse QueryService::table(const HttpRequest& req) const {
     const std::vector<NodeId> targets =
         require_node_list(req, "targets", net_.node_count());
     const std::size_t cells = sources.size() * targets.size();
-    if (cells > options_.max_table_cells) {
+    if (cells > kMaxTableCells) {
       throw RequestError{
           400, "table_too_large",
           str_cat("table of ", sources.size(), " x ", targets.size(), " = ", cells,
-                  " cells exceeds the cap of ", options_.max_table_cells)};
+                  " cells exceeds the cap of ", kMaxTableCells)};
     }
     double bound = roadnet::kInfDistance;
     if (req.param("bound") != nullptr) {

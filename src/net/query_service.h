@@ -16,14 +16,15 @@
 // sources x targets matrix of undirected network distances (metres, the
 // Phase 3 metric) from one bucket-based CH fill (roadnet::CHTableEngine);
 // unreachable or beyond-`bound` cells are JSON null. The matrix size is
-// capped (QueryServiceOptions::max_table_cells, answering 400
-// `table_too_large`) because response size and fill work grow with it.
+// capped (QueryService::kMaxTableCells, answering 400 `table_too_large`)
+// because response size and fill work grow with it.
 //
 // Every response is JSON. Errors are structured, machine-readable objects
 // `{"error":"<code>","detail":"<human text>"}`:
 //   400  missing_parameter / invalid_parameter — strict validation: every
-//        parameter must parse, radii and k must be within configured caps;
-//        table_too_large (sources x targets above the cap);
+//        parameter must parse, the radius must be in (0, 10000] m (default
+//        500) and k in [1, 1000] (default 10); table_too_large (sources x
+//        targets above the cap);
 //   404  unknown_segment / unknown_node (well-formed but nonexistent id),
 //        no_flow (nothing within the radius), unreachable (no route);
 //   503  no_snapshot (the store has never published — queries against an
@@ -39,9 +40,10 @@
 // Observability: the service records, per endpoint, a
 // `neat_net_request_seconds{endpoint=...}` obs::Log2Histogram and a
 // `neat_net_errors_total{endpoint=...}` counter (4xx/5xx) into its
-// registry; the underlying HttpServer contributes
+// registry; the HttpServer it is registered on contributes
 // `neat_net_requests_total{path=...,code=...}` and `neat_net_shed_total`
-// when constructed with the same registry attached. Structured logging: the
+// when constructed with the same registry attached, as the admin routes'
+// server does (net/admin_routes.h). Structured logging: the
 // request's trace id is installed as the thread's ambient id for the whole
 // handler, every request emits a debug line, and requests slower than
 // QueryServiceOptions::slow_request_seconds emit a warn "slow request" line
@@ -65,20 +67,8 @@
 
 namespace neat::net {
 
-/// Validation caps and defaults of the query plane.
+/// Tuning of the query plane.
 struct QueryServiceOptions {
-  /// /v1/nearest search radius when the parameter is omitted.
-  double default_radius_m{500.0};
-  /// Largest accepted /v1/nearest radius (grid scans grow with it).
-  double max_radius_m{10000.0};
-  /// /v1/topk answer size when the parameter is omitted.
-  std::size_t default_k{10};
-  /// Largest accepted /v1/topk k.
-  std::size_t max_k{1000};
-  /// Largest accepted /v1/table matrix (sources x targets cells): both the
-  /// response body and the fill work grow with the product, so oversized
-  /// requests answer 400 table_too_large instead of stalling a worker.
-  std::size_t max_table_cells{4096};
   /// Requests slower than this emit one structured warn line (module "net":
   /// endpoint, status, duration_ms, trace_id) so operators can join the
   /// line against /tracez and /profilez. <= 0 disables the slow log.
@@ -90,6 +80,11 @@ struct QueryServiceOptions {
 /// outlive them.
 class QueryService {
  public:
+  /// Largest accepted /v1/table matrix (sources x targets cells): both the
+  /// response body and the fill work grow with the product, so oversized
+  /// requests answer 400 table_too_large instead of stalling a worker.
+  static constexpr std::size_t kMaxTableCells = 4096;
+
   QueryService(const roadnet::RoadNetwork& net, const serve::QueryEngine& engine,
                sim::TripPlanner* planner, obs::Registry& registry,
                QueryServiceOptions options = {});

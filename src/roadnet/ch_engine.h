@@ -126,8 +126,6 @@ class ChEngine {
   [[nodiscard]] const RoadNetwork& network() const { return net_; }
   /// Shortcut arcs inserted by preprocessing (on top of the base arcs).
   [[nodiscard]] std::size_t shortcut_count() const { return shortcut_count_; }
-  /// Total arcs in the hierarchy (base + shortcuts).
-  [[nodiscard]] std::size_t arc_count() const { return arcs_.size(); }
   /// Wall-clock seconds the preprocessing pass took.
   [[nodiscard]] double preprocessing_seconds() const { return preprocessing_seconds_; }
   /// Contraction order of a node (0 = contracted first). For tests.

@@ -17,8 +17,8 @@
 #include <mutex>
 #include <thread>
 
+#include "common/bounded_queue.h"
 #include "core/incremental.h"
-#include "serve/bounded_queue.h"
 #include "serve/metrics.h"
 #include "serve/snapshot.h"
 #include "traj/dataset.h"

@@ -84,9 +84,6 @@ class Metrics {
   /// Version of the most recently published snapshot (0 = none yet).
   [[nodiscard]] std::uint64_t snapshot_version() const;
 
-  [[nodiscard]] const LatencyHistogram& query_latency() const { return query_latency_; }
-  [[nodiscard]] const LatencyHistogram& ingest_latency() const { return ingest_latency_; }
-
   /// The registry backing this object — use registry().to_prometheus() for
   /// a metrics text dump.
   [[nodiscard]] const obs::Registry& registry() const { return *reg_; }

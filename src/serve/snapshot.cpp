@@ -63,9 +63,6 @@ std::shared_ptr<const ClusterSnapshot> ClusterSnapshot::build(
               return a < b;
             });
 
-  for (const FlowCluster& flow : flows) {
-    snap->total_participants_ += flow.participants.size();
-  }
   snap->flows_ = std::move(flows);
   snap->final_clusters_ = std::move(final_clusters);
   return snap;

@@ -60,10 +60,6 @@ class ClusterSnapshot {
   /// Segment count of the network the snapshot was built against.
   [[nodiscard]] std::size_t segment_count() const { return seg_offsets_.size() - 1; }
 
-  /// Total trajectories participating in any flow (with multiplicity across
-  /// flows collapsed per flow, not globally).
-  [[nodiscard]] std::size_t total_participants() const { return total_participants_; }
-
   /// Full internal-consistency check, for tests and debug builds: CSR offsets
   /// monotonic, every indexed flow in range and actually routed over the
   /// segment, final_cluster_of matches final_clusters, density ranking is a
@@ -80,7 +76,6 @@ class ClusterSnapshot {
   std::vector<std::uint32_t> seg_offsets_;   ///< CSR offsets, segment_count+1.
   std::vector<std::uint32_t> seg_flow_ids_;  ///< CSR payload: flow indices.
   std::vector<std::uint32_t> by_density_;
-  std::size_t total_participants_{0};
 };
 
 /// Single-slot RCU-style snapshot holder. current() copies the shared_ptr,

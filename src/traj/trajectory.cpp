@@ -1,21 +1,33 @@
 #include "traj/trajectory.h"
 
+#include <utility>
+
 #include "common/error.h"
 #include "common/string_util.h"
 
 namespace neat::traj {
 
-Trajectory::Trajectory(TrajectoryId id, std::vector<Location> points) : id_(id) {
-  points_.reserve(points.size());
-  for (const Location& loc : points) append(loc);
+namespace {
+
+/// Throws neat::PreconditionError unless `t` may follow `prev` in
+/// trajectory `id` (a NaN on either side fails too).
+void expect_time_order(TrajectoryId id, double prev, double t) {
+  NEAT_EXPECT(t >= prev,
+              str_cat("trajectory ", id.value(), ": timestamps must be non-decreasing (",
+                      t, " after ", prev, ")"));
+}
+
+}  // namespace
+
+Trajectory::Trajectory(TrajectoryId id, std::vector<Location> points)
+    : id_(id), points_(std::move(points)) {
+  for (std::size_t i = 1; i < points_.size(); ++i) {
+    expect_time_order(id_, points_[i - 1].t, points_[i].t);
+  }
 }
 
 void Trajectory::append(const Location& loc) {
-  if (!points_.empty()) {
-    NEAT_EXPECT(loc.t >= points_.back().t,
-                str_cat("trajectory ", id_.value(), ": timestamps must be non-decreasing (",
-                        loc.t, " after ", points_.back().t, ")"));
-  }
+  if (!points_.empty()) expect_time_order(id_, points_.back().t, loc.t);
   points_.push_back(loc);
 }
 

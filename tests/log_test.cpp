@@ -18,8 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "net/admin_routes.h"
 #include "net/http_client.h"
-#include "obs/http_exporter.h"
+#include "net/http_server.h"
 #include "obs/log/log.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -397,9 +398,11 @@ TEST(LogzEndpoint, GetAndPutRoundTripThroughHttp) {
   Logger logger(quiet_options(&reg));
   logger.set_sink(cap.sink());
 
-  HttpExporterOptions opt;
+  net::HttpServer server;
+  net::AdminRouteOptions opt;
   opt.logger = &logger;
-  const HttpExporter server(reg, opt);
+  net::register_admin_routes(server, reg, opt);
+  server.start();
   ASSERT_GT(server.port(), 0);
 
   const net::HttpResult get = net::http_get(server.port(), "/logz");
@@ -440,9 +443,11 @@ TEST(LogzEndpoint, PutIsRejectedOnOtherRoutes) {
   Capture cap;
   Logger logger(quiet_options(&reg));
   logger.set_sink(cap.sink());
-  HttpExporterOptions opt;
+  net::HttpServer server;
+  net::AdminRouteOptions opt;
   opt.logger = &logger;
-  const HttpExporter server(reg, opt);
+  net::register_admin_routes(server, reg, opt);
+  server.start();
   const net::HttpResult put = net::http_put(server.port(), "/metrics");
   EXPECT_EQ(put.code, 405);
 }

@@ -16,7 +16,8 @@
 #include <vector>
 
 #include "core/clusterer.h"
-#include "obs/http_exporter.h"
+#include "net/admin_routes.h"
+#include "net/http_server.h"
 #include "obs/prof/profiler.h"
 #include "obs/prof/sample.h"
 #include "obs/prof/symbolize.h"
@@ -195,36 +196,36 @@ TEST(Profiler, ConcurrentWithParallelRefiner) {
   if (profile.samples > 0) expect_well_formed_folded(profile.to_folded());
 }
 
-TEST(HttpExporterProfilez, BusySessionAnswers409) {
+TEST(AdminProfilez, BusySessionAnswers409) {
   Registry registry;
-  HttpExporterOptions opts;
-  HttpExporter exporter(registry, opts);
+  net::HttpServer admin;
+  net::register_admin_routes(admin, registry);
   ASSERT_TRUE(Profiler::global().start());
-  const std::string response = exporter.handle("GET", "/profilez?seconds=1");
+  const std::string response = admin.handle_request("GET", "/profilez?seconds=1");
   EXPECT_EQ(response.rfind("HTTP/1.1 409 Conflict\r\n", 0), 0u) << response;
   EXPECT_NE(response.find("profiler_busy"), std::string::npos);
   static_cast<void>(Profiler::global().stop());
-  exporter.stop();
 }
 
-TEST(HttpExporterProfilez, MalformedParametersAnswer400) {
+TEST(AdminProfilez, MalformedParametersAnswer400) {
   Registry registry;
-  HttpExporter exporter(registry, {});
+  net::HttpServer admin;
+  net::register_admin_routes(admin, registry);
   // The last two wrap to 1 if narrowed to int before the range check.
   for (const char* target :
        {"/profilez?seconds=abc", "/profilez?seconds=-1", "/profilez?seconds=0",
         "/profilez?seconds=1e9", "/profilez?hz=0", "/profilez?hz=abc",
         "/profilez?seconds=0.1&hz=4294967297", "/profilez?seconds=0.1&hz=-4294967295"}) {
-    const std::string response = exporter.handle("GET", target);
+    const std::string response = admin.handle_request("GET", target);
     EXPECT_NE(response.find("400"), std::string::npos) << target;
     EXPECT_NE(response.find("invalid_parameter"), std::string::npos) << target;
   }
-  exporter.stop();
 }
 
-TEST(HttpExporterProfilez, ShortRunStreamsFoldedProfile) {
+TEST(AdminProfilez, ShortRunStreamsFoldedProfile) {
   Registry registry;
-  HttpExporter exporter(registry, {});
+  net::HttpServer admin;
+  net::register_admin_routes(admin, registry);
   // Keep a core busy while the handler's session runs so the process CPU
   // clock advances and samples exist.
   std::atomic<bool> done{false};
@@ -234,7 +235,7 @@ TEST(HttpExporterProfilez, ShortRunStreamsFoldedProfile) {
     }
   });
   const std::string response =
-      exporter.handle("GET", "/profilez?seconds=0.3&hz=997");
+      admin.handle_request("GET", "/profilez?seconds=0.3&hz=997");
   done.store(true, std::memory_order_release);
   burner.join();
   EXPECT_NE(response.find("200"), std::string::npos);
@@ -244,16 +245,15 @@ TEST(HttpExporterProfilez, ShortRunStreamsFoldedProfile) {
   const std::string body = response.substr(body_at + 4);
   EXPECT_FALSE(body.empty());
   if (body.rfind("# no samples", 0) != 0) expect_well_formed_folded(body);
-  exporter.stop();
 }
 
-TEST(HttpExporterProfilez, StatuszCarriesProfilerSection) {
+TEST(AdminProfilez, StatuszCarriesProfilerSection) {
   Registry registry;
-  HttpExporter exporter(registry, {});
-  const std::string response = exporter.handle("GET", "/statusz");
+  net::HttpServer admin;
+  net::register_admin_routes(admin, registry);
+  const std::string response = admin.handle_request("GET", "/statusz");
   EXPECT_NE(response.find("\"profiler\":"), std::string::npos);
   EXPECT_NE(response.find("\"active\":"), std::string::npos);
-  exporter.stop();
 }
 
 }  // namespace

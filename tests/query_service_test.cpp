@@ -190,24 +190,29 @@ TEST(QueryService, TableValidatesListsBoundAndSize) {
 }
 
 TEST(QueryService, OversizedTableAnswers400NotATimeout) {
-  // A deliberately tiny cap: the 2 x 3 request is over it, and the error
+  // One row over the cap of 64 x 64 = 4096 cells is refused, and the error
   // detail names the arithmetic so a client can right-size its batches.
+  // Lists may repeat a junction, so the fig1 network's ids fill them.
+  static_assert(QueryService::kMaxTableCells == 64 * 64);
   roadnet::RoadNetwork net = testutil::fig1_network();
   serve::SnapshotStore store;
   store.publish(serve::ClusterSnapshot::build(net, Fixture::flows(),
                                               Fixture::finals(), 7));
   const serve::QueryEngine engine(net, store);
   obs::Registry registry;
-  QueryServiceOptions opts;
-  opts.max_table_cells = 4;
-  const QueryService service(net, engine, nullptr, registry, opts);
+  const QueryService service(net, engine, nullptr, registry);
+  const auto ids = [](std::size_t n) {
+    std::string out = "0";
+    for (std::size_t i = 1; i < n; ++i) out += i % 2 == 0 ? ",0" : ",1";
+    return out;
+  };
 
   const HttpResponse r =
-      service.table(request({{"sources", "0,1"}, {"targets", "2,3,4"}}));
+      service.table(request({{"sources", ids(65)}, {"targets", ids(64)}}));
   EXPECT_EQ(r.code, 400);
   EXPECT_NE(r.body.find("\"error\":\"table_too_large\""), std::string::npos) << r.body;
-  EXPECT_NE(r.body.find("2 x 3 = 6"), std::string::npos) << r.body;
-  EXPECT_EQ(service.table(request({{"sources", "0,1"}, {"targets", "2,3"}})).code,
+  EXPECT_NE(r.body.find("65 x 64 = 4160"), std::string::npos) << r.body;
+  EXPECT_EQ(service.table(request({{"sources", ids(64)}, {"targets", ids(64)}})).code,
             200);
 }
 

@@ -6,10 +6,10 @@
 #include <algorithm>
 #include <thread>
 
+#include "common/bounded_queue.h"
 #include "common/error.h"
 #include "core/clusterer.h"
 #include "obs/registry.h"
-#include "serve/bounded_queue.h"
 #include "serve/ingest_service.h"
 #include "serve/query_engine.h"
 #include "test_util.h"
@@ -161,15 +161,15 @@ TEST(QueryEngine, AnswersAgainstPublishedSnapshot) {
 }
 
 TEST(BoundedQueue, RejectAndBlockBackpressure) {
-  serve::BoundedQueue<int> q(2);
-  EXPECT_THROW(serve::BoundedQueue<int>(0), PreconditionError);
-  EXPECT_EQ(q.push(1, /*block=*/false), serve::PushResult::kAccepted);
-  EXPECT_EQ(q.push(2, false), serve::PushResult::kAccepted);
-  EXPECT_EQ(q.push(3, false), serve::PushResult::kRejected);
+  BoundedQueue<int> q(2);
+  EXPECT_THROW(BoundedQueue<int>(0), PreconditionError);
+  EXPECT_EQ(q.push(1, /*block=*/false), PushResult::kAccepted);
+  EXPECT_EQ(q.push(2, false), PushResult::kAccepted);
+  EXPECT_EQ(q.push(3, false), PushResult::kRejected);
   EXPECT_EQ(q.size(), 2u);
 
   // A blocking push completes once the consumer frees a slot.
-  std::thread producer([&] { EXPECT_EQ(q.push(3, true), serve::PushResult::kAccepted); });
+  std::thread producer([&] { EXPECT_EQ(q.push(3, true), PushResult::kAccepted); });
   EXPECT_EQ(q.pop(), std::optional<int>(1));
   producer.join();
   EXPECT_EQ(q.pop(), std::optional<int>(2));
@@ -178,8 +178,8 @@ TEST(BoundedQueue, RejectAndBlockBackpressure) {
   // close() drains remaining items, then signals end-of-stream.
   q.push(7, false);
   q.close();
-  EXPECT_EQ(q.push(8, false), serve::PushResult::kClosed);
-  EXPECT_EQ(q.push(9, true), serve::PushResult::kClosed);
+  EXPECT_EQ(q.push(8, false), PushResult::kClosed);
+  EXPECT_EQ(q.push(9, true), PushResult::kClosed);
   EXPECT_EQ(q.pop(), std::optional<int>(7));
   EXPECT_EQ(q.pop(), std::nullopt);
 }
