@@ -10,8 +10,9 @@
 //   readers  — query threads calling serve::QueryEngine directly, under two
 //              conditions: idle (one static snapshot, no publishes) and
 //              publish-churn (the writer republishes a fresh snapshot
-//              version continuously, RCU churn); p50/p99 and q/s from the
-//              built-in metrics histogram.
+//              version continuously, RCU churn); each reader times its own
+//              engine calls into one shared histogram, giving p50/p99 and
+//              q/s.
 // Every row goes to BENCH_serve.json for the CI performance-trajectory gate
 // (tools/bench_diff.py).
 //
@@ -19,7 +20,8 @@
 // the mixed HTTP workload sustains >= 1000 req/s in total, with no
 // unexpected failures. Non-blocking publication: the publish-churn p99
 // stays within 5x the idle p99. Latencies come from log2-bucket
-// histograms, so the percentiles are conservative bucket upper edges.
+// histograms (obs::Log2Histogram), so the percentiles are conservative
+// bucket upper edges.
 //
 // Honors NEAT_BENCH_REPEATS: each condition runs that many times and every
 // reported metric is the median, so one noise spike cannot fail CI.
@@ -30,7 +32,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,10 +90,9 @@ Run run_load(const roadnet::RoadNetwork& net, const serve::QueryEngine& engine,
   server.start();
 
   const roadnet::Bounds bb = net.bounding_box();
-  serve::LatencyHistogram latency[4];
+  obs::Log2Histogram latency[4];  // wait-free: shared by every client
   std::atomic<std::uint64_t> requests[4] = {};
   std::atomic<std::uint64_t> failures[4] = {};
-  std::mutex latency_mu[4];
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> clients;
@@ -123,7 +123,6 @@ Run run_load(const roadnet::RoadNetwork& net, const serve::QueryEngine& engine,
           if (r.code != 200 && r.code != 404) {
             failures[e].fetch_add(1, std::memory_order_relaxed);
           }
-          const std::lock_guard<std::mutex> lock(latency_mu[e]);
           latency[e].record(s);
         }
       }
@@ -168,24 +167,29 @@ ReadRun run_readers(const roadnet::RoadNetwork& net, const Result& res,
                     const std::shared_ptr<const serve::ClusterSnapshot>& snapshot,
                     unsigned threads, double seconds, bool publish) {
   serve::SnapshotStore store;
-  serve::Metrics metrics;
   std::uint64_t version = snapshot->version();
   store.publish(snapshot);
-  const serve::QueryEngine engine(net, store, &metrics);
+  const serve::QueryEngine engine(net, store);
   const roadnet::Bounds bb = net.bounding_box();
+  obs::Log2Histogram latency;  // one observation per engine call
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> readers;
   for (unsigned t = 0; t < threads; ++t) {
     readers.emplace_back([&, t] {
       Rng rng(42 + t);
+      const auto timed = [&latency](auto&& query) {
+        const Stopwatch watch;
+        (void)query();
+        latency.record(watch.elapsed_seconds());
+      };
       while (!stop.load(std::memory_order_acquire)) {
         const Point p{rng.uniform(bb.min.x, bb.max.x), rng.uniform(bb.min.y, bb.max.y)};
-        (void)engine.nearest_flow(p, 400.0);
+        timed([&] { return engine.nearest_flow(p, 400.0); });
         const auto sid = SegmentId(static_cast<std::int32_t>(
             rng.uniform_int(0, static_cast<int>(net.segment_count()) - 1)));
-        (void)engine.flows_on_segment(sid);
-        (void)engine.top_k_flows(5);
+        timed([&] { return engine.flows_on_segment(sid); });
+        timed([&] { return engine.top_k_flows(5); });
       }
     });
   }
@@ -207,11 +211,10 @@ ReadRun run_readers(const roadnet::RoadNetwork& net, const Result& res,
   for (auto& r : readers) r.join();
   const double elapsed = wall.elapsed_seconds();
 
-  const serve::MetricsSnapshot m = metrics.snapshot();
-  out.queries = m.queries_total;
-  out.qps = static_cast<double>(m.queries_total) / elapsed;
-  out.p50_s = m.query_p50_s;
-  out.p99_s = m.query_p99_s;
+  out.queries = latency.count();
+  out.qps = static_cast<double>(out.queries) / elapsed;
+  out.p50_s = latency.quantile_seconds(0.50);
+  out.p99_s = latency.quantile_seconds(0.99);
   return out;
 }
 

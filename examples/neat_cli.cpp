@@ -26,7 +26,8 @@
 // bit-identical to the CSV path on the same data.
 //
 // --metrics-out dumps the run's metric registry as Prometheus text
-// exposition; --trace-out enables the pipeline tracer and writes a Chrome
+// exposition, with the process's resources sampled once just before;
+// --trace-out enables the pipeline tracer and writes a Chrome
 // trace_event JSON loadable in chrome://tracing or https://ui.perfetto.dev
 // (nested spans for Phases 1-3 including one span per parallel-refiner
 // worker). --admin-port serves the same registry and tracer live on
@@ -285,14 +286,6 @@ int main(int argc, char** argv) {
                 << " trajectories (" << data.total_points() << " points)\n";
     }
 
-    // Out-of-core runs sample /proc/self so the metrics dump carries the
-    // demand-paging cost of the mapped store (neat_store_page_faults_total)
-    // alongside the neat_store_bytes_mapped gauge the store itself owns.
-    std::unique_ptr<obs::ResourceSampler> sampler;
-    if (opt.columnar) {
-      sampler = std::make_unique<obs::ResourceSampler>(obs::Registry::global());
-    }
-
     const bool profiling =
         !opt.profile_out.empty() && obs::prof::Profiler::global().start();
     if (!opt.profile_out.empty() && !profiling) {
@@ -325,8 +318,11 @@ int main(int argc, char** argv) {
       std::cout << "flow clusters written to " << flows_path << '\n';
     }
 
-    if (sampler) sampler->sample_now();  // final fault/RSS deltas
     if (!opt.metrics_out.empty()) {
+      // One /proc/self sample as of the dump: the process gauges and the
+      // page faults (for --columnar, the demand-paging cost of the mapped
+      // store) next to the neat_store_bytes_mapped gauge the store owns.
+      obs::ResourceSampler(obs::Registry::global()).sample_now();
       std::ofstream out(opt.metrics_out);
       if (!out) throw Error(str_cat("cannot open '", opt.metrics_out, "' for writing"));
       out << obs::Registry::global().to_prometheus();

@@ -12,15 +12,16 @@
 //                 publishes an immutable, versioned ClusterSnapshot
 //   clients    -> query the QueryEngine ("flows near me", "what runs on this
 //                 road", "busiest corridors") against the live snapshot
-//   operations -> scrape the live admin plane over HTTP: /metrics (Prometheus),
-//                 /healthz, /readyz (503 until the first snapshot), /statusz
-//                 (build + snapshot + backlog JSON) and /tracez (recent spans)
+//   operations -> scrape the live admin plane over HTTP: /metrics (Prometheus,
+//                 process gauges sampled at each scrape), /healthz, /readyz
+//                 (503 until the first snapshot), /statusz (build + snapshot
+//                 + backlog JSON) and /tracez (recent spans)
 // Every upload and query carries a request-correlation trace_id, so one
 // /tracez (or Perfetto) search follows one request end-to-end. The final
 // snapshot is also persisted with core/result_io, the durable half of the
 // serving story.
 //
-//   $ ./neat_server_sim --admin-port 9464 --sample-period-ms 500 --linger-s 60
+//   $ ./neat_server_sim --admin-port 9464 --linger-s 60
 //   $ curl localhost:9464/metrics
 #include <chrono>
 #include <cstdint>
@@ -41,7 +42,6 @@
 #include "obs/log/log.h"
 #include "obs/prof/profiler.h"
 #include "obs/registry.h"
-#include "obs/resource_sampler.h"
 #include "obs/trace.h"
 #include "roadnet/generators.h"
 #include "serve/ingest_service.h"
@@ -55,7 +55,6 @@ namespace {
 struct SimOptions {
   int admin_port{-1};        ///< -1 = no admin server; 0 = ephemeral port.
   int query_port{-1};        ///< -1 = no public query plane; 0 = ephemeral.
-  int sample_period_ms{1000};
   int linger_s{0};           ///< Keep serving this long after the workload.
   int slow_ms{500};          ///< Slow-request log threshold; 0 disables.
   std::string profile_out;   ///< Folded CPU profile file ("" = profiler off).
@@ -67,7 +66,7 @@ struct SimOptions {
 [[noreturn]] void usage(const std::string& error) {
   std::cerr << "error: " << error << "\n\n"
             << "usage: neat_server_sim [--admin-port PORT] [--query-port PORT]\n"
-            << "                       [--sample-period-ms MS] [--linger-s SECONDS]\n"
+            << "                       [--linger-s SECONDS]\n"
             << "                       [--distance-engine dijkstra|alt|ch]\n"
             << "                       [--profile-out FILE]\n"
             << "  --admin-port PORT       serve /metrics, /healthz, /readyz, /statusz\n"
@@ -77,7 +76,6 @@ struct SimOptions {
             << "                          /v1/segment, /v1/topk and /v1/route on\n"
             << "                          127.0.0.1:PORT (0 = pick a free port; omit\n"
             << "                          for no query server)\n"
-            << "  --sample-period-ms MS   resource sampler period (default 1000)\n"
             << "  --linger-s SECONDS      keep the server up after the simulated\n"
             << "                          workload so it can be scraped (default 0)\n"
             << "  --distance-engine E     Phase 3 distance backend for ingest\n"
@@ -111,10 +109,6 @@ SimOptions parse_args(int argc, char** argv) {
         const std::int64_t p = parse_int(next_value(i));
         if (p < 0 || p > 65535) usage("--query-port must be in [0, 65535]");
         opt.query_port = static_cast<int>(p);
-      } else if (arg == "--sample-period-ms") {
-        const std::int64_t ms = parse_int(next_value(i));
-        if (ms < 10) usage("--sample-period-ms must be >= 10");
-        opt.sample_period_ms = static_cast<int>(ms);
       } else if (arg == "--linger-s") {
         const std::int64_t s = parse_int(next_value(i));
         if (s < 0) usage("--linger-s must be >= 0");
@@ -177,24 +171,21 @@ int main(int argc, char** argv) {
   const roadnet::RoadNetwork net = roadnet::make_city(params);
   std::cout << "map: " << net.segment_count() << " segments\n";
 
-  // --- the serving stack: snapshot store + metrics + ingest + query engine.
-  // The serve metrics share the global registry with the pipeline's own
+  // --- the serving stack: snapshot store + ingest + query engine. The
+  // ingest families share the global registry with the pipeline's own
   // neat_core_* metrics, so one /metrics scrape sees the whole process.
   Config cfg;
   cfg.refine = opt.refine;
   cfg.refine.epsilon = 2000.0;
   cfg.phase1_threads = 2;
   serve::SnapshotStore store;
-  serve::Metrics metrics(&obs::Registry::global());
   serve::IngestOptions iopts;
   iopts.queue_capacity = 4;
-  serve::IngestService ingest(net, cfg, store, metrics, iopts);
-  const serve::QueryEngine engine(net, store, &metrics);
+  serve::IngestService ingest(net, cfg, store, obs::Registry::global(), iopts);
+  const serve::QueryEngine engine(net, store);
 
-  // --- the live observability plane: resource sampler + HTTP admin server.
-  obs::ResourceSamplerOptions sopts;
-  sopts.period = std::chrono::milliseconds(opt.sample_period_ms);
-  obs::ResourceSampler sampler(obs::Registry::global(), sopts);
+  // --- the live observability plane: the HTTP admin routes, whose /metrics
+  // samples the process's resources at each scrape.
   std::unique_ptr<net::HttpServer> admin;
   if (opt.admin_port >= 0) {
     net::HttpServerOptions hopts;
@@ -203,10 +194,10 @@ int main(int argc, char** argv) {
     admin = std::make_unique<net::HttpServer>(hopts);
     net::AdminRouteOptions aopts;
     aopts.tracer = &obs::Tracer::global();
-    aopts.ready = [&metrics] { return metrics.snapshot_version() > 0; };
-    aopts.status_fields = [&metrics, &ingest] {
-      return str_cat("\"snapshot_version\":", metrics.snapshot_version(),
-                     ",\"snapshot_age_s\":", format_fixed(metrics.snapshot_age_seconds(), 3),
+    aopts.ready = [&store] { return store.version() > 0; };
+    aopts.status_fields = [&store, &ingest] {
+      return str_cat("\"snapshot_version\":", store.version(),
+                     ",\"snapshot_age_s\":", format_fixed(store.age_seconds(), 3),
                      ",\"ingest_queue_depth\":", ingest.queue_depth());
     };
     net::register_admin_routes(*admin, obs::Registry::global(), aopts);

@@ -1,8 +1,12 @@
 // Load generator for the serving subsystem: N client threads fire queries
 // at a QueryEngine while a feeder thread keeps uploading trajectory batches
 // through the IngestService, so snapshots are republished under live read
-// traffic. Prints per-run throughput; the serve metrics (neat_serve_*) live
-// in the registry the admin plane's /metrics serves.
+// traffic. Prints per-run throughput. One registry carries every serving
+// number, each counted once by its owner: the ingest families
+// (neat_serve_*, IngestService), per-endpoint handler latency
+// (neat_net_request_seconds, QueryService) and requests by path and code
+// (neat_net_requests_total, HttpServer); the admin plane's /metrics serves
+// it.
 //
 // Two modes:
 //   in-process (default)  clients call the QueryEngine directly — measures
@@ -27,7 +31,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,20 +54,19 @@ using namespace neat;
 
 namespace {
 
-/// Client-side latency + count of one /v1/* endpoint under load.
+/// Client-side latency + count of one /v1/* endpoint under load. Every
+/// member is wait-free, so many client threads record without a lock.
 struct EndpointStats {
   const char* target;
-  serve::LatencyHistogram latency;  ///< Guarded by mu (many client threads).
+  obs::Log2Histogram latency;
   std::atomic<std::uint64_t> requests{0};
   std::atomic<std::uint64_t> failures{0};  ///< Non-2xx/404 answers.
-  std::mutex mu;
 
   void record(double seconds, int code) {
     requests.fetch_add(1, std::memory_order_relaxed);
     // 404s (empty radius, one-way dead ends) are correct answers under a
     // random workload; anything else non-200 is a failure worth surfacing.
     if (code != 200 && code != 404) failures.fetch_add(1, std::memory_order_relaxed);
-    const std::lock_guard<std::mutex> lock(mu);
     latency.record(seconds);
   }
 };
@@ -130,13 +132,12 @@ int main(int argc, char** argv) {
 
   Config cfg;
   cfg.refine.epsilon = 1500.0;
-  // One private registry behind the serve metrics, the query edge and the
-  // admin plane, so /metrics carries every neat_serve_* family.
+  // One private registry behind the ingest path, the query edge and the
+  // admin plane, so /metrics carries every serving family.
   obs::Registry registry;
   serve::SnapshotStore store;
-  serve::Metrics metrics(&registry);
-  serve::IngestService ingest(net, cfg, store, metrics);
-  const serve::QueryEngine engine(net, store, &metrics);
+  serve::IngestService ingest(net, cfg, store, registry);
+  const serve::QueryEngine engine(net, store);
 
   // The self-hosted HTTP edge of --http mode (idle otherwise). Ephemeral
   // port, worker pool sized to the client count so the clients, not the
@@ -191,10 +192,10 @@ int main(int argc, char** argv) {
 
   // Clients: mixed query workload until the feeder finishes.
   EndpointStats stats[4] = {
-      {"/v1/nearest", {}, {}, {}, {}},
-      {"/v1/segment", {}, {}, {}, {}},
-      {"/v1/topk", {}, {}, {}, {}},
-      {"/v1/route", {}, {}, {}, {}},
+      {"/v1/nearest", {}, {}, {}},
+      {"/v1/segment", {}, {}, {}},
+      {"/v1/topk", {}, {}, {}},
+      {"/v1/route", {}, {}, {}},
   };
   std::atomic<std::uint64_t> answered{0};
   std::vector<std::thread> clients;

@@ -12,9 +12,10 @@ namespace {
 // Phase wall-clock goes to the registry under the naming convention of
 // DESIGN.md §"Observability"; one histogram series per phase label.
 void record_phase_seconds(const char* phase, double seconds) {
-  obs::Registry::global()
-      .histogram("neat_core_phase_duration_seconds", {{"phase", phase}})
-      .record(seconds);
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_help("neat_core_phase_duration_seconds",
+               "Wall-clock time of the NEAT phases, by phase (1, 2, 3).");
+  reg.histogram("neat_core_phase_duration_seconds", {{"phase", phase}}).record(seconds);
 }
 
 }  // namespace

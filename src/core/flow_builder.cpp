@@ -191,6 +191,9 @@ Phase2Output FlowBuilder::build() const {
   }
 
   obs::Registry& reg = obs::Registry::global();
+  reg.set_help("neat_core_flow_clusters_total", "Flow clusters Phase 2 kept.");
+  reg.set_help("neat_core_filtered_flows_total",
+               "Flow clusters Phase 2 dropped by the minimum-cardinality filter.");
   reg.counter("neat_core_flow_clusters_total").add(out.flows.size());
   reg.counter("neat_core_filtered_flows_total").add(out.filtered_flows.size());
   span.arg("base_clusters", static_cast<std::uint64_t>(base_.size()));

@@ -219,6 +219,11 @@ void walk(const RoadNetwork& net, const traj::Trajectory& tr, const Sink& emit,
 /// shared atomics.
 void record_phase1_counters(std::size_t trajectories, const Phase1Output& out) {
   obs::Registry& reg = obs::Registry::global();
+  reg.set_help("neat_core_trajectories_total", "Trajectories Phase 1 fragmented.");
+  reg.set_help("neat_core_fragments_total", "t-fragments Phase 1 extracted.");
+  reg.set_help("neat_core_gap_repairs_total",
+               "Non-contiguous sample pairs Phase 1 repaired.");
+  reg.set_help("neat_core_base_clusters_total", "Base clusters Phase 1 built.");
   reg.counter("neat_core_trajectories_total").add(trajectories);
   reg.counter("neat_core_fragments_total").add(out.num_fragments);
   reg.counter("neat_core_gap_repairs_total").add(out.num_gap_repairs);

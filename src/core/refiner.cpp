@@ -27,6 +27,20 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs,
                         bool landmarks_enabled) {
   obs::Registry& reg = obs::Registry::global();
+  reg.set_help("neat_core_pairs_total", "Flow pairs Phase 3 considered, n(n-1)/2 per run.");
+  reg.set_help("neat_core_pairs_evaluated_total",
+               "Flow pairs whose network distance Phase 3 computed.");
+  reg.set_help("neat_core_elb_pruned_pairs_total",
+               "Flow pairs Phase 3 eliminated by the Euclidean lower bound.");
+  reg.set_help("neat_core_lm_pruned_pairs_total",
+               "Flow pairs Phase 3 eliminated by the landmark bound, after ELB.");
+  reg.set_help("neat_core_sp_computations_total", "Shortest-path searches Phase 3 issued.");
+  reg.set_help("neat_core_sp_settled_nodes_total",
+               "Nodes settled across Phase 3 shortest-path searches (a work proxy).");
+  reg.set_help("neat_core_lm_bound_checks_total",
+               "Flow pairs that reached the landmark-bound test (ELB survivors).");
+  reg.set_help("neat_core_lm_bound_hits_total",
+               "Flow pairs the landmark-bound test eliminated.");
   reg.counter("neat_core_pairs_total").add(total_pairs);
   reg.counter("neat_core_pairs_evaluated_total").add(counters.pairs_evaluated);
   reg.counter("neat_core_elb_pruned_pairs_total").add(counters.elb_pruned_pairs);
@@ -584,9 +598,9 @@ Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
   Phase3Output out = cluster_close_pairs(flows, close);
   add_counters(out, counters);
   add_phase3_metrics(counters, total_pairs, config_.use_landmarks);
-  obs::Registry::global()
-      .counter("neat_core_final_clusters_total")
-      .add(out.clusters.size());
+  obs::Registry& reg = obs::Registry::global();
+  reg.set_help("neat_core_final_clusters_total", "Final clusters Phase 3 formed.");
+  reg.counter("neat_core_final_clusters_total").add(out.clusters.size());
   span.arg("final_clusters", static_cast<std::uint64_t>(out.clusters.size()));
   return out;
 }

@@ -67,6 +67,9 @@ traj::Trajectory LookAheadMatcher::match(const traj::RawTrace& trace,
       stats->dropped_points += local.dropped_points;
     }
     obs::Registry& reg = obs::Registry::global();
+    reg.set_help("neat_mapmatch_traces_total", "Raw GPS traces map-matched.");
+    reg.set_help("neat_mapmatch_points_total",
+                 "GPS points map-matched, by outcome (matched/dropped).");
     reg.counter("neat_mapmatch_traces_total").add(1);
     reg.counter("neat_mapmatch_points_total", {{"outcome", "matched"}})
         .add(local.matched_points);

@@ -11,6 +11,7 @@
 #include "common/error.h"
 #include "common/string_util.h"
 #include "obs/prof/profiler.h"
+#include "obs/resource_sampler.h"
 
 #ifndef NEAT_GIT_SHA
 #define NEAT_GIT_SHA "unknown"
@@ -149,7 +150,9 @@ void register_admin_routes(HttpServer& server, obs::Registry& registry,
                            AdminRouteOptions options) {
   obs::log::Logger& logger =
       options.logger != nullptr ? *options.logger : obs::log::Logger::global();
-  server.handle("/metrics", [&registry](const HttpRequest&) {
+  server.handle("/metrics", [&registry, sampler = obs::ResourceSampler(registry)](
+                                const HttpRequest&) {
+    sampler.sample_now();  // the process gauges as of this scrape
     return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                         registry.to_prometheus()};
   });

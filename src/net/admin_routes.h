@@ -3,13 +3,16 @@
 // adds /v1/*. They turn the in-process registry, tracer, profiler and
 // logger into a live scrape and control plane:
 //
-//   GET /metrics   Prometheus text exposition of the registry
+//   GET /metrics   Prometheus text exposition of the registry, after one
+//                  obs::ResourceSampler pass: the neat_process_* gauges
+//                  and page-fault counters are as of this scrape
 //   GET /healthz   liveness: 200 as long as the process serves requests
 //   GET /readyz    readiness: 200 when the ready() hook says so,
 //                  503 Service Unavailable otherwise (e.g. no snapshot yet)
 //   GET /statusz   JSON: build info, uptime, pid, requests served by the
 //                  server, profiler and logger state, plus app-supplied
-//                  fields (snapshot version/age, queue depth)
+//                  fields (snapshot version/age from the SnapshotStore,
+//                  queue depth)
 //   GET /tracez    the tracer's most recent 256 finished spans as JSON;
 //                  404 when no tracer is attached
 //   GET /profilez  runs the sampling CPU profiler for ?seconds=N (default
@@ -63,9 +66,10 @@ struct AdminRouteOptions {
 };
 
 /// Registers the seven admin routes on `server` (before server.start()).
-/// The routes keep references to `server`, `registry`, the tracer and the
-/// logger: do not let the server outlive them. The hooks are invoked from
-/// worker threads and must be thread-safe.
+/// Creates the resource sampler's families (obs/resource_sampler.h) in
+/// `registry`. The routes keep references to `server`, `registry`, the
+/// tracer and the logger: do not let the server outlive them. The hooks
+/// are invoked from worker threads and must be thread-safe.
 void register_admin_routes(HttpServer& server, obs::Registry& registry,
                            AdminRouteOptions options = {});
 

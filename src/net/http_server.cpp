@@ -130,7 +130,17 @@ const std::string* HttpRequest::param(std::string_view key) const {
 
 HttpServer::HttpServer(HttpServerOptions options)
     : options_(sanitized(std::move(options))),
-      pending_(options_.max_pending_connections) {}
+      pending_(options_.max_pending_connections) {
+  if (options_.registry == nullptr) return;
+  options_.registry->set_help(
+      "neat_net_requests_total",
+      "HTTP requests answered, by route path (other = outside the route table) "
+      "and status code.");
+  options_.registry->set_help(
+      "neat_net_shed_total",
+      "Connections closed unanswered because the pending queue was full.");
+  shed_counter_ = &options_.registry->counter("neat_net_shed_total");
+}
 
 HttpServer::~HttpServer() { stop(); }
 
@@ -257,9 +267,7 @@ void HttpServer::accept_loop() {
     ::close(fd);
     if (pushed == PushResult::kClosed) break;
     shed_.fetch_add(1, std::memory_order_relaxed);
-    if (options_.registry != nullptr) {
-      options_.registry->counter("neat_net_shed_total").add(1);
-    }
+    if (shed_counter_ != nullptr) shed_counter_->add(1);
     // The logger's rate limiter collapses a shed storm into summary lines.
     NEAT_LOG(kWarn, "net")
         .msg("connection shed: pending queue full")

@@ -41,7 +41,9 @@
 //
 // Self-instrumentation: with `options.registry` set, every answered request
 // is counted as `neat_net_requests_total{path=...,code=...}` (path label
-// bounded to registered routes, anything else is "other").
+// bounded to registered routes, anything else is "other"), and
+// `neat_net_shed_total` exists from construction on, at 0 until a shed.
+// Both families carry HELP text.
 #pragma once
 
 #include <atomic>
@@ -183,6 +185,7 @@ class HttpServer {
   std::atomic<bool> stopping_{false};
   mutable std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> shed_{0};
+  obs::Counter* shed_counter_{nullptr};  ///< neat_net_shed_total; null = no registry.
 
   BoundedQueue<int> pending_;  ///< Accepted fds waiting for a worker.
 

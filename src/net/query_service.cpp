@@ -174,17 +174,13 @@ QueryService::QueryService(const roadnet::RoadNetwork& net,
       route_ep_(make_endpoint("net.route", "route")),
       table_ep_(make_endpoint("net.table", "table")) {
   registry_.set_help("neat_net_request_seconds",
-                     "Query-plane request latency by endpoint.");
-  registry_.set_help("neat_net_errors_total",
-                     "Query-plane 4xx/5xx responses by endpoint.");
+                     "Query-plane handler latency by endpoint, errors included.");
 }
 
 QueryService::Endpoint QueryService::make_endpoint(const char* span_name,
                                                    const char* label) {
-  return Endpoint{
-      span_name, label,
-      registry_.histogram("neat_net_request_seconds", {{"endpoint", label}}),
-      registry_.counter("neat_net_errors_total", {{"endpoint", label}})};
+  return Endpoint{span_name, label,
+                  registry_.histogram("neat_net_request_seconds", {{"endpoint", label}})};
 }
 
 void QueryService::register_routes(HttpServer& server) {
@@ -215,7 +211,6 @@ HttpResponse QueryService::answer(const Endpoint& ep, const HttpRequest& req,
   span.arg("code", static_cast<std::int64_t>(r.code));
   const double seconds = watch.elapsed_seconds();
   ep.latency.record(seconds);
-  if (r.code >= 400) ep.errors.add(1);
   const obs::TraceIdScope trace_scope(trace_id);
   NEAT_LOG(kDebug, "net")
       .msg("request answered")

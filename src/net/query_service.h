@@ -37,13 +37,13 @@
 // one /tracez search follows one request from the HTTP edge through the
 // engine's query spans — the same convention the ingest path uses.
 //
-// Observability: the service records, per endpoint, a
-// `neat_net_request_seconds{endpoint=...}` obs::Log2Histogram and a
-// `neat_net_errors_total{endpoint=...}` counter (4xx/5xx) into its
-// registry; the HttpServer it is registered on contributes
-// `neat_net_requests_total{path=...,code=...}` and `neat_net_shed_total`
-// when constructed with the same registry attached, as the admin routes'
-// server does (net/admin_routes.h). Structured logging: the
+// Observability: each serving number has one owner. The service times
+// each handler into `neat_net_request_seconds{endpoint=...}` (an
+// obs::Log2Histogram) in its registry; the HttpServer it is registered on
+// counts every answer, errors included, as
+// `neat_net_requests_total{path=...,code=...}` (and sheds as
+// `neat_net_shed_total`) when its options carry the same registry, as the
+// admin routes' server does (net/admin_routes.h). Structured logging: the
 // request's trace id is installed as the thread's ambient id for the whole
 // handler, every request emits a debug line, and requests slower than
 // QueryServiceOptions::slow_request_seconds emit a warn "slow request" line
@@ -95,7 +95,7 @@ class QueryService {
   /// Registers the five /v1/* routes on `server` (before server.start()).
   /// Attach the same registry to the server's options to get the
   /// neat_net_requests_total / neat_net_shed_total counters alongside the
-  /// service's per-endpoint series.
+  /// service's per-endpoint latency.
   void register_routes(HttpServer& server);
 
   // Endpoint handlers, exposed for in-process tests; the registered routes
@@ -112,7 +112,6 @@ class QueryService {
     const char* span_name;       ///< Static-storage span name ("net.nearest").
     const char* label;           ///< Metric/log endpoint label ("nearest").
     obs::Log2Histogram& latency;
-    obs::Counter& errors;
   };
 
   template <class Fn>

@@ -10,10 +10,9 @@
 // threads never serializes them. Series references stay valid for the
 // registry's lifetime.
 //
-// The histogram reuses the fixed log2-bucket design the serving stack
-// introduced (serve::LatencyHistogram is now an alias of obs::Log2Histogram):
-// bucket i counts observations in [2^(i-1), 2^i) µs, so recording is one
-// fetch_add and percentiles are bucket upper edges.
+// The histogram is a fixed log2-bucket design (obs::Log2Histogram): bucket i
+// counts observations in [2^(i-1), 2^i) µs, so recording is one fetch_add
+// and percentiles are bucket upper edges.
 //
 // Exported as Prometheus text exposition format via to_prometheus().
 #pragma once
@@ -34,6 +33,18 @@ namespace neat::obs {
 class Counter {
  public:
   void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+
+  /// Raises the value to `total` when it is below it, for counters that
+  /// mirror a monotonic total kept elsewhere (the kernel's page-fault
+  /// counts). Lock-free; racing callers never count the same increment
+  /// twice, and the value never moves backwards.
+  void raise_to(std::uint64_t total) {
+    std::uint64_t cur = v_.load(std::memory_order_relaxed);
+    while (cur < total &&
+           !v_.compare_exchange_weak(cur, total, std::memory_order_relaxed)) {
+    }
+  }
+
   [[nodiscard]] std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

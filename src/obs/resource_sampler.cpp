@@ -1,6 +1,5 @@
 #include "obs/resource_sampler.h"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -103,10 +102,8 @@ std::uint64_t peak_rss_bytes() {
   return 0;
 }
 
-ResourceSampler::ResourceSampler(Registry& registry, ResourceSamplerOptions options)
-    : registry_(registry),
-      options_(options),
-      rss_bytes_(registry.gauge("neat_process_resident_memory_bytes")),
+ResourceSampler::ResourceSampler(Registry& registry)
+    : rss_bytes_(registry.gauge("neat_process_resident_memory_bytes")),
       virtual_bytes_(registry.gauge("neat_process_virtual_memory_bytes")),
       cpu_user_s_(registry.gauge("neat_process_cpu_seconds", {{"mode", "user"}})),
       cpu_system_s_(registry.gauge("neat_process_cpu_seconds", {{"mode", "system"}})),
@@ -114,9 +111,7 @@ ResourceSampler::ResourceSampler(Registry& registry, ResourceSamplerOptions opti
       open_fds_(registry.gauge("neat_process_open_fds")),
       peak_rss_bytes_(registry.gauge("neat_process_peak_resident_memory_bytes")),
       minor_faults_(registry.counter("neat_store_page_faults_total", {{"kind", "minor"}})),
-      major_faults_(registry.counter("neat_store_page_faults_total", {{"kind", "major"}})),
-      samples_total_(registry.counter("neat_obs_resource_samples_total")) {
-  options_.period = std::max(options_.period, std::chrono::milliseconds(10));
+      major_faults_(registry.counter("neat_store_page_faults_total", {{"kind", "major"}})) {
   registry.set_help("neat_process_resident_memory_bytes",
                     "Resident set size of this process, sampled from /proc/self.");
   registry.set_help("neat_process_virtual_memory_bytes",
@@ -129,26 +124,11 @@ ResourceSampler::ResourceSampler(Registry& registry, ResourceSamplerOptions opti
   registry.set_help("neat_process_peak_resident_memory_bytes",
                     "Lifetime RSS high-water mark of this process (VmHWM), sampled.");
   registry.set_help("neat_store_page_faults_total",
-                    "Page faults taken by this process since the sampler started, by "
-                    "kind — the demand-paging cost of mmap-backed columnar scans.");
-  registry.set_help("neat_obs_resource_samples_total",
-                    "Resource samples taken by the obs resource sampler.");
-  sample_now();
-  thread_ = std::thread([this] { loop(); });
+                    "Page faults taken by this process since it started, by kind — "
+                    "includes the demand-paging cost of mmap-backed columnar scans.");
 }
 
-ResourceSampler::~ResourceSampler() { stop(); }
-
-void ResourceSampler::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-bool ResourceSampler::sample_now() {
+bool ResourceSampler::sample_now() const {
 #ifdef __linux__
   ProcStat st;
   if (!read_proc_stat(st)) return false;
@@ -160,31 +140,12 @@ bool ResourceSampler::sample_now() {
   const long fds = count_open_fds();
   if (fds >= 0) open_fds_.set(static_cast<double>(fds));
   peak_rss_bytes_.set(static_cast<double>(peak_rss_bytes()));
-  // Counters are monotonic, so fault totals are reported as deltas against
-  // the previous sample; the first sample only sets the baseline.
-  if (have_fault_baseline_) {
-    minor_faults_.add(st.minflt - last_minflt_);
-    major_faults_.add(st.majflt - last_majflt_);
-  }
-  last_minflt_ = st.minflt;
-  last_majflt_ = st.majflt;
-  have_fault_baseline_ = true;
-  samples_total_.add(1);
-  samples_.fetch_add(1, std::memory_order_relaxed);
+  minor_faults_.raise_to(st.minflt);
+  major_faults_.raise_to(st.majflt);
   return true;
 #else
   return false;
 #endif
-}
-
-void ResourceSampler::loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (!stop_) {
-    if (cv_.wait_for(lock, options_.period, [this] { return stop_; })) return;
-    lock.unlock();
-    sample_now();
-    lock.lock();
-  }
 }
 
 }  // namespace neat::obs

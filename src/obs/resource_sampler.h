@@ -1,36 +1,32 @@
-// Background process-resource sampler feeding the metric registry.
+// Process-resource sampling into the metric registry, on demand.
 //
-// A single thread wakes every `period` and snapshots the process's own
-// footprint from /proc/self into registry gauges, so a scrape of /metrics
-// answers "how big is this server right now" without any external agent:
+// One sample reads the process's own footprint from /proc/self into
+// registry families, so a scrape of /metrics answers "how big is this
+// server right now" without any external agent:
 //
 //   neat_process_resident_memory_bytes   RSS (/proc/self/stat, pages × page size)
 //   neat_process_virtual_memory_bytes    virtual size
 //   neat_process_cpu_seconds{mode="user"|"system"}
-//                                        cumulative CPU, sampled (utime/stime)
+//                                        cumulative CPU (utime/stime)
 //   neat_process_threads                 thread count
 //   neat_process_open_fds                open descriptors (/proc/self/fd)
 //   neat_process_peak_resident_memory_bytes
 //                                        lifetime RSS high-water mark (VmHWM)
 //   neat_store_page_faults_total{kind="minor"|"major"}
-//                                        page faults since the sampler
-//                                        started (minflt/majflt deltas) —
-//                                        the demand-paging cost of the
+//                                        page faults since the process
+//                                        started (minflt/majflt) — the
+//                                        demand-paging cost of the
 //                                        mmap-backed columnar store
-//   neat_obs_resource_samples_total      samples taken so far
 //
-// One synchronous sample runs in the constructor, so the gauges are already
-// populated for a scrape that races the first period. On non-Linux
-// platforms sample_now() returns false and the gauges stay at zero; the
-// thread and the API still behave identically.
+// There is no sampling thread and no period: the admin plane's /metrics
+// route samples into its registry each time it renders
+// (net/admin_routes.h) and neat_cli samples once before it writes
+// --metrics-out, so a scrape shows the process as of that scrape. On
+// non-Linux platforms sample_now() returns false and the families stay at
+// zero.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 
 #include "obs/registry.h"
 
@@ -45,40 +41,20 @@ namespace neat::obs {
 /// unsupported.
 bool reset_peak_rss();
 
-/// Tuning of the resource sampler.
-struct ResourceSamplerOptions {
-  /// Delay between samples; clamped to at least 10ms.
-  std::chrono::milliseconds period{1000};
-};
-
-/// Samples /proc/self into gauges of `registry` until stop().
+/// Samples /proc/self into the families above of one registry.
 class ResourceSampler {
  public:
-  /// Keeps a reference to `registry`; do not outlive it. Takes one sample
-  /// synchronously, then starts the background thread.
-  explicit ResourceSampler(Registry& registry, ResourceSamplerOptions options = {});
-  ~ResourceSampler();
+  /// Creates the families (with HELP) in `registry` and keeps references
+  /// to them; do not outlive the registry. Takes no sample.
+  explicit ResourceSampler(Registry& registry);
 
-  ResourceSampler(const ResourceSampler&) = delete;
-  ResourceSampler& operator=(const ResourceSampler&) = delete;
-
-  /// Stops and joins the background thread. Idempotent.
-  void stop();
-
-  /// Takes one sample immediately (also what the thread calls). Returns
-  /// false when /proc/self is unavailable (non-Linux).
-  bool sample_now();
-
-  /// Samples taken so far (including the constructor's).
-  [[nodiscard]] std::uint64_t samples() const {
-    return samples_.load(std::memory_order_relaxed);
-  }
+  /// Takes one sample. Returns false when /proc/self is unavailable
+  /// (non-Linux). Thread-safe: the fault counters are raised to the
+  /// kernel's totals rather than incremented, so concurrent samples, or
+  /// several samplers on one registry, never count a fault twice.
+  bool sample_now() const;
 
  private:
-  void loop();
-
-  Registry& registry_;
-  ResourceSamplerOptions options_;
   Gauge& rss_bytes_;
   Gauge& virtual_bytes_;
   Gauge& cpu_user_s_;
@@ -88,15 +64,6 @@ class ResourceSampler {
   Gauge& peak_rss_bytes_;
   Counter& minor_faults_;
   Counter& major_faults_;
-  Counter& samples_total_;
-  bool have_fault_baseline_{false};  ///< Only the sampling thread touches these.
-  std::uint64_t last_minflt_{0};
-  std::uint64_t last_majflt_{0};
-  std::atomic<std::uint64_t> samples_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_{false};        ///< Guarded by mu_.
-  std::thread thread_;      ///< Last member: started after all state.
 };
 
 }  // namespace neat::obs

@@ -43,7 +43,12 @@ std::uint64_t next_tracer_id() {
 // The process-wide drop counter; created lazily so registries stay empty
 // until the first span is actually overwritten.
 Counter& spans_dropped_counter() {
-  static Counter& c = Registry::global().counter("neat_obs_spans_dropped_total");
+  static Counter& c = []() -> Counter& {
+    Registry& reg = Registry::global();
+    reg.set_help("neat_obs_spans_dropped_total",
+                 "Finished spans overwritten by the tracer's per-thread rings.");
+    return reg.counter("neat_obs_spans_dropped_total");
+  }();
   return c;
 }
 

@@ -59,6 +59,11 @@ ChEngine::ChEngine(const RoadNetwork& net) : net_(net) {
 
   preprocessing_seconds_ = watch.elapsed_seconds();
   obs::Registry& reg = obs::Registry::global();
+  reg.set_help("neat_roadnet_ch_builds_total", "Contraction hierarchies built.");
+  reg.set_help("neat_roadnet_ch_shortcuts_total",
+               "Shortcut arcs added by contraction-hierarchy builds.");
+  reg.set_help("neat_roadnet_ch_build_duration_seconds",
+               "Wall-clock time of contraction-hierarchy builds.");
   reg.counter("neat_roadnet_ch_builds_total").add(1);
   reg.counter("neat_roadnet_ch_shortcuts_total").add(shortcut_count_);
   reg.histogram("neat_roadnet_ch_build_duration_seconds").record(preprocessing_seconds_);

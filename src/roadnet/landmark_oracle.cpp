@@ -102,6 +102,11 @@ LandmarkOracle::LandmarkOracle(const RoadNetwork& net, int num_landmarks) : net_
   }
 
   obs::Registry& reg = obs::Registry::global();
+  reg.set_help("neat_roadnet_landmark_builds_total", "Landmark (ALT) tables built.");
+  reg.set_help("neat_roadnet_landmarks_selected_total",
+               "Landmarks selected across landmark-table builds.");
+  reg.set_help("neat_roadnet_landmark_build_duration_seconds",
+               "Wall-clock time of landmark-table builds.");
   reg.counter("neat_roadnet_landmark_builds_total").add(1);
   reg.counter("neat_roadnet_landmarks_selected_total").add(landmarks_.size());
   reg.histogram("neat_roadnet_landmark_build_duration_seconds")

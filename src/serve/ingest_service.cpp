@@ -9,14 +9,29 @@
 namespace neat::serve {
 
 IngestService::IngestService(const roadnet::RoadNetwork& net, Config config,
-                             SnapshotStore& store, Metrics& metrics,
+                             SnapshotStore& store, obs::Registry& registry,
                              IngestOptions options)
     : net_(net),
       store_(store),
-      metrics_(metrics),
       options_(options),
+      batches_ok_(registry.counter("neat_serve_ingest_batches_total", {{"result", "ok"}})),
+      batches_rejected_(
+          registry.counter("neat_serve_ingest_batches_total", {{"result", "rejected"}})),
+      batches_failed_(
+          registry.counter("neat_serve_ingest_batches_total", {{"result", "failed"}})),
+      trajectories_(registry.counter("neat_serve_ingested_trajectories_total")),
+      ingest_seconds_(registry.histogram("neat_serve_ingest_duration_seconds")),
+      snapshot_version_(registry.gauge("neat_serve_snapshot_version")),
       clusterer_(net, config, options.incremental),
       queue_(options.queue_capacity) {
+  registry.set_help("neat_serve_ingest_batches_total",
+                    "Ingest batches, by outcome (ok/rejected/failed).");
+  registry.set_help("neat_serve_ingested_trajectories_total",
+                    "Trajectories accepted into published snapshots.");
+  registry.set_help("neat_serve_ingest_duration_seconds",
+                    "Latency of ingest batches: clustering plus snapshot publish.");
+  registry.set_help("neat_serve_snapshot_version",
+                    "Version of the currently served cluster snapshot (0 = none yet).");
   worker_ = std::thread([this] { run(); });
 }
 
@@ -39,7 +54,7 @@ bool IngestService::submit(traj::TrajectoryDataset batch, std::uint64_t trace_id
   }
   flush_cv_.notify_all();
   if (r == PushResult::kRejected) {
-    metrics_.record_rejected_batch();
+    batches_rejected_.add();
     NEAT_LOG(kWarn, "serve")
         .msg("ingest batch rejected: queue full")
         .kv("trace_id_req", trace_id)
@@ -88,7 +103,10 @@ void IngestService::process_batch(PendingBatch pending) {
     store_.publish(
         ClusterSnapshot::build(net_, std::move(flows), std::move(clusters), version));
     published_.store(version, std::memory_order_release);
-    metrics_.record_ingest(n_trajectories, watch.elapsed_seconds(), version);
+    batches_ok_.add();
+    trajectories_.add(n_trajectories);
+    ingest_seconds_.record(watch.elapsed_seconds());
+    snapshot_version_.set(static_cast<double>(version));
     span.arg("version", version);
     NEAT_LOG(kInfo, "serve")
         .msg("snapshot published")
@@ -98,7 +116,7 @@ void IngestService::process_batch(PendingBatch pending) {
   } catch (const Error& e) {
     // Bad batch (duplicate ids, unknown segments, ...): drop it, keep
     // serving the previous snapshot.
-    metrics_.record_failed_batch();
+    batches_failed_.add();
     NEAT_LOG(kWarn, "serve")
         .msg("ingest batch failed; previous snapshot kept")
         .kv("trajectories", n_trajectories)

@@ -9,6 +9,13 @@
 // load (submit() returns false). A batch with invalid input (e.g. duplicate
 // trajectory ids) is counted as failed and skipped; the service keeps
 // serving the last good snapshot.
+//
+// The service owns the ingest families of the registry it is given:
+//   neat_serve_ingest_batches_total{result="ok"|"rejected"|"failed"}
+//   neat_serve_ingested_trajectories_total
+//   neat_serve_ingest_duration_seconds   clustering plus snapshot publish
+//   neat_serve_snapshot_version          0 until the first publish
+// The age of the served snapshot is the store's (SnapshotStore::age_seconds).
 #pragma once
 
 #include <atomic>
@@ -19,7 +26,7 @@
 
 #include "common/bounded_queue.h"
 #include "core/incremental.h"
-#include "serve/metrics.h"
+#include "obs/registry.h"
 #include "serve/snapshot.h"
 #include "traj/dataset.h"
 
@@ -42,11 +49,12 @@ struct IngestOptions {
 /// Background batch-ingest worker publishing snapshots to a SnapshotStore.
 class IngestService {
  public:
-  /// Keeps references to `net`, `store` and `metrics`; do not outlive them.
-  /// The worker thread starts immediately. Throws neat::PreconditionError on
-  /// invalid `config` or options.
+  /// Keeps references to `net`, `store` and `registry`; do not outlive them.
+  /// Records the ingest families into `registry`. The worker thread starts
+  /// immediately. Throws neat::PreconditionError on invalid `config` or
+  /// options.
   IngestService(const roadnet::RoadNetwork& net, Config config, SnapshotStore& store,
-                Metrics& metrics, IngestOptions options = {});
+                obs::Registry& registry, IngestOptions options = {});
 
   /// Stops the service (drains already-accepted batches first).
   ~IngestService();
@@ -57,7 +65,7 @@ class IngestService {
   /// Hands one batch to the worker. Returns true when accepted; false when
   /// rejected by backpressure or the service is stopped. Trajectory ids must
   /// be unique across all accepted batches (violations surface as a failed
-  /// batch in the metrics, not an exception here — submission is async).
+  /// batch in the registry, not an exception here — submission is async).
   ///
   /// `trace_id` correlates the batch's ingest span with the client request
   /// that produced it (0 mints a fresh obs::next_trace_id()); the id used is
@@ -100,8 +108,13 @@ class IngestService {
 
   const roadnet::RoadNetwork& net_;
   SnapshotStore& store_;
-  Metrics& metrics_;
   IngestOptions options_;
+  obs::Counter& batches_ok_;
+  obs::Counter& batches_rejected_;
+  obs::Counter& batches_failed_;
+  obs::Counter& trajectories_;
+  obs::Log2Histogram& ingest_seconds_;
+  obs::Gauge& snapshot_version_;
   IncrementalClusterer clusterer_;  ///< Touched only by the worker thread.
   BoundedQueue<PendingBatch> queue_;
   std::atomic<std::uint64_t> accepted_{0};

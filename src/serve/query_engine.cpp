@@ -2,29 +2,20 @@
 
 #include <limits>
 
-#include "common/stopwatch.h"
 #include "obs/trace.h"
 
 namespace neat::serve {
 
-QueryEngine::QueryEngine(const roadnet::RoadNetwork& net, const SnapshotStore& store,
-                         Metrics* metrics)
-    : net_(net), store_(store), metrics_(metrics), grid_(net) {}
+QueryEngine::QueryEngine(const roadnet::RoadNetwork& net, const SnapshotStore& store)
+    : net_(net), store_(store), grid_(net) {}
 
 std::optional<NearestFlowHit> QueryEngine::nearest_flow(Point p, double max_radius,
                                                         std::uint64_t trace_id) const {
   if (trace_id == 0) trace_id = obs::next_trace_id();
   obs::ScopedSpan span("serve.query.nearest_flow");
   span.arg("trace_id", trace_id);
-  const Stopwatch watch;
   const auto snap = store_.current();
-  if (!snap) {
-    if (metrics_ != nullptr) {
-      metrics_->record_empty_snapshot_query();
-      metrics_->record_query(Metrics::QueryKind::kNearestFlow, watch.elapsed_seconds());
-    }
-    return std::nullopt;
-  }
+  if (!snap) return std::nullopt;
 
   // Candidate route segments near the client, nearest-carrying-flow wins.
   std::optional<NearestFlowHit> best;
@@ -48,9 +39,6 @@ std::optional<NearestFlowHit> QueryEngine::nearest_flow(Point p, double max_radi
                           snap->final_cluster_of(pick),
                           snap->flows()[pick].cardinality()};
   }
-  if (metrics_ != nullptr) {
-    metrics_->record_query(Metrics::QueryKind::kNearestFlow, watch.elapsed_seconds());
-  }
   return best;
 }
 
@@ -59,18 +47,12 @@ SegmentFlows QueryEngine::flows_on_segment(SegmentId sid,
   if (trace_id == 0) trace_id = obs::next_trace_id();
   obs::ScopedSpan span("serve.query.flows_on_segment");
   span.arg("trace_id", trace_id);
-  const Stopwatch watch;
   SegmentFlows out;
   out.trace_id = trace_id;
   if (const auto snap = store_.current()) {
     out.snapshot_version = snap->version();
     const auto flows = snap->flows_on_segment(sid);
     out.flows.assign(flows.begin(), flows.end());
-  } else if (metrics_ != nullptr) {
-    metrics_->record_empty_snapshot_query();
-  }
-  if (metrics_ != nullptr) {
-    metrics_->record_query(Metrics::QueryKind::kSegmentFlows, watch.elapsed_seconds());
   }
   return out;
 }
@@ -79,7 +61,6 @@ TopFlows QueryEngine::top_k_flows(std::size_t k, std::uint64_t trace_id) const {
   if (trace_id == 0) trace_id = obs::next_trace_id();
   obs::ScopedSpan span("serve.query.top_k_flows");
   span.arg("trace_id", trace_id);
-  const Stopwatch watch;
   TopFlows out;
   out.trace_id = trace_id;
   if (const auto snap = store_.current()) {
@@ -92,11 +73,6 @@ TopFlows QueryEngine::top_k_flows(std::size_t k, std::uint64_t trace_id) const {
       out.flows.push_back(RankedFlow{f, flow.cardinality(), flow.route_length,
                                      snap->final_cluster_of(f)});
     }
-  } else if (metrics_ != nullptr) {
-    metrics_->record_empty_snapshot_query();
-  }
-  if (metrics_ != nullptr) {
-    metrics_->record_query(Metrics::QueryKind::kTopK, watch.elapsed_seconds());
   }
   return out;
 }

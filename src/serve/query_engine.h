@@ -9,6 +9,11 @@
 // engine; its const queries are thread-safe), mapping a client position to
 // candidate road segments and then through the snapshot's segment → flows
 // index to flows.
+//
+// Each query opens a span (serve.query.*) carrying its trace_id; the engine
+// times and counts nothing itself. Served traffic is measured once, at the
+// HTTP edge: net::HttpServer counts requests and net::QueryService times
+// each /v1 handler.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +22,6 @@
 #include <vector>
 
 #include "roadnet/spatial_index.h"
-#include "serve/metrics.h"
 #include "serve/snapshot.h"
 
 namespace neat::serve {
@@ -58,10 +62,9 @@ struct TopFlows {
 /// Thread-safe query front end over a SnapshotStore.
 class QueryEngine {
  public:
-  /// Keeps references to `net` and `store` (and `metrics` when given); do
-  /// not outlive them. Builds the engine's segment grid index eagerly.
-  QueryEngine(const roadnet::RoadNetwork& net, const SnapshotStore& store,
-              Metrics* metrics = nullptr);
+  /// Keeps references to `net` and `store`; do not outlive them. Builds the
+  /// engine's segment grid index eagerly.
+  QueryEngine(const roadnet::RoadNetwork& net, const SnapshotStore& store);
 
   /// The flow passing closest to `p`, looking at route segments within
   /// `max_radius` metres. Ties (flows sharing the nearest segment) resolve
@@ -95,7 +98,6 @@ class QueryEngine {
  private:
   const roadnet::RoadNetwork& net_;
   const SnapshotStore& store_;
-  Metrics* metrics_;
   roadnet::SegmentGridIndex grid_;
 };
 

@@ -1,6 +1,7 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/error.h"
 #include "common/string_util.h"
@@ -148,19 +149,40 @@ bool ClusterSnapshot::validate(const roadnet::RoadNetwork& net) const {
 
 void SnapshotStore::publish(std::shared_ptr<const ClusterSnapshot> snapshot) {
   NEAT_EXPECT(snapshot != nullptr, "cannot publish a null snapshot");
+  const auto now = std::chrono::steady_clock::now();  // outside the reader lock
   // Publications come from one writer in the intended topology, but stay
   // safe under racing writers: the version check and the swap are one
   // critical section, so the version stays strictly increasing.
-  const std::lock_guard<std::mutex> lock(mu_);
-  NEAT_EXPECT(snapshot_ == nullptr || snapshot->version() > snapshot_->version(),
-              str_cat("snapshot version ", snapshot->version(),
-                      " does not advance current version ", snapshot_->version()));
-  snapshot_ = std::move(snapshot);
+  std::vector<std::shared_ptr<const ClusterSnapshot>> unpinned;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    NEAT_EXPECT(snapshot_ == nullptr || snapshot->version() > snapshot_->version(),
+                str_cat("snapshot version ", snapshot->version(),
+                        " does not advance current version ", snapshot_->version()));
+    if (snapshot_ != nullptr) retired_.push_back(std::move(snapshot_));
+    snapshot_ = std::move(snapshot);
+    published_at_ = now;
+    // A retired snapshot is out of current()'s reach, so once the store
+    // holds its only reference no reader can pin it again: it is freed
+    // below, on this thread and outside the lock. The others wait here
+    // until their readers let go, so a reader never pays for the free.
+    const auto pinned = std::partition(retired_.begin(), retired_.end(),
+                                       [](const auto& s) { return s.use_count() > 1; });
+    unpinned.assign(std::make_move_iterator(pinned), std::make_move_iterator(retired_.end()));
+    retired_.erase(pinned, retired_.end());
+  }
 }
 
 std::uint64_t SnapshotStore::version() const {
   const auto snap = current();
   return snap ? snap->version() : 0;
+}
+
+double SnapshotStore::age_seconds() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (snapshot_ == nullptr) return -1.0;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - published_at_)
+      .count();
 }
 
 }  // namespace neat::serve

@@ -7,9 +7,12 @@
 // no synchronization; writers publish a *new* snapshot through SnapshotStore
 // (RCU-style pointer swap) instead of mutating a live one. Readers that hold
 // a shared_ptr keep "their" snapshot alive for the whole query even when a
-// newer version lands mid-flight.
+// newer version lands mid-flight. The store also stamps each publish, so the
+// version and the age of what is served (/readyz, /statusz) are read from
+// the one slot that holds it.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -81,8 +84,10 @@ class ClusterSnapshot {
 /// Single-slot RCU-style snapshot holder. current() copies the shared_ptr,
 /// pinning "your" snapshot for the whole query; publish() swaps in a fresh
 /// one. Both sides hold a plain mutex only for the pointer copy/swap itself
-/// (a refcount bump — snapshots are built *outside* the store), so a publish
-/// never stalls readers measurably; bench/serve_http_latency verifies this.
+/// (a refcount bump — snapshots are built *outside* the store), and a
+/// superseded snapshot is freed by a publish, outside the lock, never by a
+/// reader dropping the last pin: a publish never stalls readers measurably,
+/// which bench/serve_http_latency verifies.
 /// Versions must be strictly increasing (throws neat::PreconditionError
 /// otherwise), so every reader observes a monotonic version sequence.
 ///
@@ -111,9 +116,18 @@ class SnapshotStore {
   /// Version of the current snapshot (0 before the first publish).
   [[nodiscard]] std::uint64_t version() const;
 
+  /// Seconds since the latest publish (steady clock); -1 before the first
+  /// one, so "never published" and "published just now" stay distinct.
+  [[nodiscard]] double age_seconds() const;
+
  private:
   mutable std::mutex mu_;
   std::shared_ptr<const ClusterSnapshot> snapshot_;
+  std::chrono::steady_clock::time_point published_at_;  ///< Of snapshot_.
+  /// Superseded snapshots a reader still pinned at a publish; freed by a
+  /// later publish once unpinned, so readers never run a snapshot's
+  /// destructor. Guarded by mu_.
+  std::vector<std::shared_ptr<const ClusterSnapshot>> retired_;
 };
 
 }  // namespace neat::serve

@@ -238,6 +238,27 @@ TEST(HttpServer, SelfInstrumentsRequestsUnderBoundedPathLabels) {
             2u);
 }
 
+TEST(HttpServer, RegistersHelpForBothOfItsFamilies) {
+  obs::Registry reg;
+  HttpServerOptions opts;
+  opts.registry = &reg;
+  HttpServer server(opts);
+  server.handle("/known", [](const HttpRequest&) { return text(200, "ok\n"); });
+  (void)server.handle_request("GET", "/known");
+
+  // Both families carry registered HELP, not the registry's generated
+  // "NEAT metric <name>." line; the shed counter exists at 0 before any shed.
+  const std::string text = reg.to_prometheus();
+  EXPECT_NE(text.find("# HELP neat_net_requests_total HTTP requests answered"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("# HELP neat_net_shed_total Connections closed unanswered"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\nneat_net_shed_total 0\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("NEAT metric "), std::string::npos) << text;
+}
+
 TEST(HttpServer, ConcurrentKeepAliveOffClientsAllSucceed) {
   std::atomic<std::uint64_t> handled{0};
   HttpServerOptions opts;

@@ -324,22 +324,32 @@ TEST(QueryService, MintsATraceIdWhenAbsentAndEchoesExplicitOnes) {
 
 TEST(QueryService, RecordsPerEndpointLatencyAndErrors) {
   Fixture fx;
-  EXPECT_EQ(fx.service.topk(request({{"k", "1"}})).code, 200);
-  EXPECT_EQ(fx.service.topk(request({{"k", "0"}})).code, 400);
-  EXPECT_EQ(fx.service.nearest(request({})).code, 400);
+  HttpServerOptions opts;
+  opts.registry = &fx.registry;
+  HttpServer server(opts);
+  fx.service.register_routes(server);
+  const auto code_of = [&server](const std::string& target) {
+    return server.handle_request("GET", target).substr(9, 3);  // "HTTP/1.1 200 OK"
+  };
+  EXPECT_EQ(code_of("/v1/topk?k=1"), "200");
+  EXPECT_EQ(code_of("/v1/topk?k=0"), "400");
+  EXPECT_EQ(code_of("/v1/nearest"), "400");
 
-  // Latency histograms count every request, the error counters only 4xx/5xx.
+  // The service times every answer, errors included...
   EXPECT_GT(fx.registry.histogram_sum_seconds("neat_net_request_seconds",
                                               {{"endpoint", "topk"}}),
             0.0);
-  EXPECT_EQ(fx.registry.counter_value("neat_net_errors_total", {{"endpoint", "topk"}}),
-            1u);
-  EXPECT_EQ(
-      fx.registry.counter_value("neat_net_errors_total", {{"endpoint", "nearest"}}),
-      1u);
-  EXPECT_EQ(
-      fx.registry.counter_value("neat_net_errors_total", {{"endpoint", "route"}}),
-      0u);
+  // ...and the server counts each one once, by path and status code.
+  const auto requests = [&fx](const char* path, const char* code) {
+    return fx.registry.counter_value("neat_net_requests_total",
+                                     {{"path", path}, {"code", code}});
+  };
+  EXPECT_EQ(requests("/v1/topk", "200"), 1u);
+  EXPECT_EQ(requests("/v1/topk", "400"), 1u);
+  EXPECT_EQ(requests("/v1/nearest", "400"), 1u);
+  EXPECT_EQ(requests("/v1/route", "200"), 0u);
+  // No second error count next to the server's.
+  EXPECT_EQ(fx.registry.to_prometheus().find("neat_net_errors_total"), std::string::npos);
 }
 
 TEST(QueryService, ServesOverHttpThroughRegisteredRoutes) {

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/registry.h"
 #include "roadnet/generators.h"
 #include "serve/ingest_service.h"
 #include "serve/query_engine.h"
@@ -33,11 +34,11 @@ TEST(ServeConcurrency, ReadersSeeConsistentSnapshotsDuringIngest) {
   Config cfg;
   cfg.refine.epsilon = 600.0;
   serve::SnapshotStore store;
-  serve::Metrics metrics;
+  obs::Registry reg;
   serve::IngestOptions opts;
   opts.queue_capacity = 2;  // small queue: exercises producer blocking too
-  serve::IngestService ingest(net, cfg, store, metrics, opts);
-  const serve::QueryEngine engine(net, store, &metrics);
+  serve::IngestService ingest(net, cfg, store, reg, opts);
+  const serve::QueryEngine engine(net, store);
 
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> checks{0};
@@ -122,8 +123,8 @@ TEST(ServeConcurrency, ReadersSeeConsistentSnapshotsDuringIngest) {
   const auto final_snap = store.current();
   ASSERT_NE(final_snap, nullptr);
   EXPECT_TRUE(final_snap->validate(net));
-  EXPECT_EQ(metrics.snapshot().batches_ingested, kBatches);
-  EXPECT_GE(metrics.snapshot().queries_total, checks.load());
+  EXPECT_EQ(reg.counter_value("neat_serve_ingest_batches_total", {{"result", "ok"}}),
+            kBatches);
 }
 
 TEST(ServeConcurrency, ManyProducersWithRejectPolicyNeverDeadlock) {
@@ -131,11 +132,11 @@ TEST(ServeConcurrency, ManyProducersWithRejectPolicyNeverDeadlock) {
   Config cfg;
   cfg.refine.epsilon = 1000.0;
   serve::SnapshotStore store;
-  serve::Metrics metrics;
+  obs::Registry reg;
   serve::IngestOptions opts;
   opts.queue_capacity = 1;
   opts.backpressure = serve::IngestOptions::Backpressure::kReject;
-  serve::IngestService ingest(net, cfg, store, metrics, opts);
+  serve::IngestService ingest(net, cfg, store, reg, opts);
 
   // 4 producers race tiny batches into a capacity-1 queue; some get shed,
   // none block, and every accepted batch is eventually processed.
@@ -159,12 +160,14 @@ TEST(ServeConcurrency, ManyProducersWithRejectPolicyNeverDeadlock) {
   ingest.flush();
   ingest.stop();
 
-  const serve::MetricsSnapshot m = metrics.snapshot();
+  const std::uint64_t ok =
+      reg.counter_value("neat_serve_ingest_batches_total", {{"result", "ok"}});
+  const std::uint64_t rejected =
+      reg.counter_value("neat_serve_ingest_batches_total", {{"result", "rejected"}});
   EXPECT_EQ(ingest.batches_accepted(), accepted.load());
-  EXPECT_EQ(m.batches_ingested, accepted.load());
-  EXPECT_EQ(m.batches_ingested + m.batches_rejected,
-            static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_GT(m.batches_ingested, 0u);
+  EXPECT_EQ(ok, accepted.load());
+  EXPECT_EQ(ok + rejected, static_cast<std::uint64_t>(kProducers) * kPerProducer);
+  EXPECT_GT(ok, 0u);
   EXPECT_EQ(store.version(), accepted.load());
 }
 

@@ -1,9 +1,12 @@
 // Tests for the serving subsystem: snapshot build/validate, snapshot store
-// publication rules, query engine answers, bounded queue backpressure,
-// ingest service end-to-end, and the metrics layer.
+// publication rules and age, query engine answers, bounded queue
+// backpressure, and the ingest service end-to-end with its registry
+// families.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
 #include <thread>
 
 #include "common/bounded_queue.h"
@@ -104,17 +107,60 @@ TEST(SnapshotStore, PublishesMonotonicVersions) {
   EXPECT_EQ(store.version(), 3u);
 }
 
+TEST(SnapshotStore, AgeIsNegativeBeforeFirstPublishAndResetsOnEachPublish) {
+  using namespace std::chrono_literals;
+  Fixture fx;
+  serve::SnapshotStore store;
+  EXPECT_EQ(store.age_seconds(), -1.0);  // sentinel: nothing published yet
+
+  store.publish(serve::ClusterSnapshot::build(fx.net, fx.result.flow_clusters,
+                                              fx.result.final_clusters, 1));
+  EXPECT_GE(store.age_seconds(), 0.0);
+  std::this_thread::sleep_for(50ms);
+  const double aged = store.age_seconds();
+  EXPECT_GE(aged, 0.05);
+
+  // A publish restamps the store: the age starts over below what it was.
+  store.publish(serve::ClusterSnapshot::build(fx.net, fx.result.flow_clusters,
+                                              fx.result.final_clusters, 2));
+  const double fresh = store.age_seconds();
+  EXPECT_GE(fresh, 0.0);
+  EXPECT_LT(fresh, aged);
+}
+
+TEST(SnapshotStore, WriterFreesSupersededSnapshotsNotReaders) {
+  Fixture fx;
+  serve::SnapshotStore store;
+  const auto build = [&fx](std::uint64_t version) {
+    return serve::ClusterSnapshot::build(fx.net, fx.result.flow_clusters,
+                                         fx.result.final_clusters, version);
+  };
+  store.publish(build(1));
+  auto pinned = store.current();
+  const std::weak_ptr<const serve::ClusterSnapshot> v1 = pinned;
+
+  // v1 is superseded while a reader pins it; dropping that pin does not
+  // free it on the reader's thread...
+  store.publish(build(2));
+  pinned.reset();
+  EXPECT_FALSE(v1.expired());
+  // ...the next publish does. An unpinned snapshot goes at its own swap.
+  const std::weak_ptr<const serve::ClusterSnapshot> v2 = store.current();
+  store.publish(build(3));
+  EXPECT_TRUE(v1.expired());
+  EXPECT_TRUE(v2.expired());
+  EXPECT_EQ(store.version(), 3u);
+}
+
 TEST(QueryEngine, AnswersAgainstPublishedSnapshot) {
   Fixture fx;
   serve::SnapshotStore store;
-  serve::Metrics metrics;
-  const serve::QueryEngine engine(fx.net, store, &metrics);
+  const serve::QueryEngine engine(fx.net, store);
 
   // Before any publish: empty answers, no crash.
   EXPECT_FALSE(engine.nearest_flow({100.0, 0.0}, 500.0).has_value());
   EXPECT_TRUE(engine.flows_on_segment(SegmentId(0)).flows.empty());
   EXPECT_TRUE(engine.top_k_flows(3).flows.empty());
-  EXPECT_GE(metrics.snapshot().empty_snapshot_queries, 3u);
 
   store.publish(serve::ClusterSnapshot::build(fx.net, fx.result.flow_clusters,
                                               fx.result.final_clusters, 1));
@@ -152,12 +198,6 @@ TEST(QueryEngine, AnswersAgainstPublishedSnapshot) {
     EXPECT_GE(top.flows[i - 1].cardinality, top.flows[i].cardinality);
   }
   EXPECT_EQ(engine.top_k_flows(1).flows.size(), 1u);
-
-  const serve::MetricsSnapshot m = metrics.snapshot();
-  EXPECT_GT(m.queries_total, 0u);
-  EXPECT_GT(m.nearest_flow_queries, 0u);
-  EXPECT_GT(m.segment_queries, 0u);
-  EXPECT_GT(m.top_k_queries, 0u);
 }
 
 TEST(BoundedQueue, RejectAndBlockBackpressure) {
@@ -189,9 +229,12 @@ TEST(IngestService, PublishesSnapshotPerBatch) {
   Config cfg;
   cfg.refine.epsilon = 1000.0;
   serve::SnapshotStore store;
-  serve::Metrics metrics;
-  serve::IngestService ingest(net, cfg, store, metrics);
-  const serve::QueryEngine engine(net, store, &metrics);
+  obs::Registry reg;
+  serve::IngestService ingest(net, cfg, store, reg);
+  const serve::QueryEngine engine(net, store);
+  const auto batches = [&reg](const char* result) {
+    return reg.counter_value("neat_serve_ingest_batches_total", {{"result", result}});
+  };
 
   const NodeId n1(0), n2(1), n3(2), n5(4);
   traj::TrajectoryDataset batch1;
@@ -210,9 +253,9 @@ TEST(IngestService, PublishesSnapshotPerBatch) {
   ASSERT_NE(snap, nullptr);
   EXPECT_TRUE(snap->validate(net));
   EXPECT_FALSE(snap->flows().empty());
-  EXPECT_EQ(metrics.snapshot().batches_ingested, 2u);
-  EXPECT_EQ(metrics.snapshot().trajectories_ingested, 3u);
-  EXPECT_EQ(metrics.snapshot().snapshot_version, 2u);
+  EXPECT_EQ(batches("ok"), 2u);
+  EXPECT_EQ(reg.counter_value("neat_serve_ingested_trajectories_total"), 3u);
+  EXPECT_EQ(reg.gauge("neat_serve_snapshot_version").value(), 2.0);
 
   // A bad batch (a new id 4 next to the duplicate id 1) is counted failed;
   // the last good snapshot keeps serving.
@@ -221,7 +264,7 @@ TEST(IngestService, PublishesSnapshotPerBatch) {
   dup.add(testutil::make_path_trajectory(net, 1, {n1, n2}));
   EXPECT_TRUE(ingest.submit(std::move(dup)));
   ingest.flush();
-  EXPECT_EQ(metrics.snapshot().batches_failed, 1u);
+  EXPECT_EQ(batches("failed"), 1u);
   EXPECT_EQ(store.version(), 2u);
 
   // The failed batch was dropped whole, so its new id 4 is still free.
@@ -229,48 +272,29 @@ TEST(IngestService, PublishesSnapshotPerBatch) {
   retry.add(testutil::make_path_trajectory(net, 4, {n1, n2, n3}));
   EXPECT_TRUE(ingest.submit(std::move(retry)));
   ingest.flush();
-  EXPECT_EQ(metrics.snapshot().batches_failed, 1u);
+  EXPECT_EQ(batches("failed"), 1u);
+  EXPECT_EQ(batches("ok"), 3u);
+  EXPECT_EQ(batches("rejected"), 0u);
   EXPECT_EQ(ingest.batches_published(), 3u);
   EXPECT_EQ(store.version(), 3u);
+
+  // The same numbers in the exposition /metrics serves, with their HELP.
+  const std::string text = reg.to_prometheus();
+  for (const char* line :
+       {"\nneat_serve_ingest_batches_total{result=\"ok\"} 3\n",
+        "\nneat_serve_ingest_batches_total{result=\"failed\"} 1\n",
+        "\nneat_serve_ingested_trajectories_total 4\n",
+        "\nneat_serve_ingest_duration_seconds_count 3\n",
+        "\nneat_serve_snapshot_version 3\n"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << "missing " << line << " in " << text;
+  }
+  EXPECT_EQ(text.find("NEAT metric "), std::string::npos) << text;
 
   ingest.stop();
   // After stop, submissions are refused.
   traj::TrajectoryDataset late;
   late.add(testutil::make_path_trajectory(net, 99, {n1, n2}));
   EXPECT_FALSE(ingest.submit(std::move(late)));
-}
-
-TEST(Metrics, HistogramQuantilesAndPrometheusExport) {
-  serve::LatencyHistogram h;
-  EXPECT_EQ(h.quantile_seconds(0.5), 0.0);
-  // 10 obs at ~2 µs, 1 at ~1000 µs: p50 in a small bucket, p99+ in the big.
-  for (int i = 0; i < 10; ++i) h.record(2e-6);
-  h.record(1e-3);
-  EXPECT_EQ(h.count(), 11u);
-  EXPECT_LE(h.quantile_seconds(0.5), 8e-6);
-  EXPECT_GE(h.quantile_seconds(0.999), 1e-3);
-  EXPECT_GT(h.mean_seconds(), 0.0);
-  // Quantiles are conservative upper edges: monotone in q.
-  EXPECT_LE(h.quantile_seconds(0.2), h.quantile_seconds(0.9));
-
-  serve::Metrics metrics;
-  metrics.record_query(serve::Metrics::QueryKind::kNearestFlow, 1e-5);
-  metrics.record_ingest(42, 0.01, 7);
-  EXPECT_EQ(metrics.snapshot_version(), 7u);
-  EXPECT_GE(metrics.snapshot_age_seconds(), 0.0);
-  // The same numbers through the registry, the one export format.
-  const obs::Registry& reg = metrics.registry();
-  EXPECT_EQ(reg.counter_value("neat_serve_queries_total", {{"kind", "nearest_flow"}}), 1u);
-  EXPECT_EQ(reg.counter_value("neat_serve_ingested_trajectories_total"), 42u);
-  const std::string text = reg.to_prometheus();
-  for (const char* line :
-       {"\nneat_serve_queries_total{kind=\"nearest_flow\"} 1\n",
-        "\nneat_serve_query_duration_seconds_count 1\n",
-        "\nneat_serve_ingested_trajectories_total 42\n",
-        "\nneat_serve_ingest_batches_total{result=\"ok\"} 1\n",
-        "\nneat_serve_snapshot_version 7\n"}) {
-    EXPECT_NE(text.find(line), std::string::npos) << "missing " << line << " in " << text;
-  }
 }
 
 TEST(Incremental, SnapshotStateIsDeepCopy) {
