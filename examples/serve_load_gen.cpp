@@ -1,8 +1,8 @@
 // Load generator for the serving subsystem: N client threads fire queries
 // at a QueryEngine while a feeder thread keeps uploading trajectory batches
 // through the IngestService, so snapshots are republished under live read
-// traffic. Prints per-run throughput. One registry carries every serving
-// number, each counted once by its owner: the ingest families
+// traffic. Prints per-run throughput. The process-wide registry carries
+// every serving number, each counted once by its owner: the ingest families
 // (neat_serve_*, IngestService), per-endpoint handler latency
 // (neat_net_request_seconds, QueryService) and requests by path and code
 // (neat_net_requests_total, HttpServer); the admin plane's /metrics serves
@@ -132,9 +132,10 @@ int main(int argc, char** argv) {
 
   Config cfg;
   cfg.refine.epsilon = 1500.0;
-  // One private registry behind the ingest path, the query edge and the
-  // admin plane, so /metrics carries every serving family.
-  obs::Registry registry;
+  // The process-wide registry behind the ingest path, the query edge and
+  // the admin plane, so /metrics carries every serving family next to the
+  // process metadata (neat_build_info, neat_process_start_time_seconds).
+  obs::Registry& registry = obs::Registry::global();
   serve::SnapshotStore store;
   serve::IngestService ingest(net, cfg, store, registry);
   const serve::QueryEngine engine(net, store);

@@ -112,21 +112,27 @@ Phase2Output FlowBuilder::build() const {
 
     std::size_t best = base_.size();
     double best_sf = -1.0;
-    int best_tie = -1;
+    int best_tie = -1;  // the best's tie-break netflow; -1 until a tie needs it
     for (const std::size_t h : hood) {
       const double sf =
           selectivity_factors(net_, base_[ci], base_[h], hood_ptrs).sf(config_);
-      // Ties (e.g. equal maxFlow) break on the netflow with the whole flow
-      // cluster (paper §III-B.2), then on the smaller segment id.
-      const int tie = netflow(flow_participants, base_[h]);
-      if (sf > best_sf + 1e-12 ||
-          (sf > best_sf - 1e-12 &&
-           (tie > best_tie ||
-            (tie == best_tie && (best == base_.size() || base_[h].sid() < base_[best].sid()))))) {
-        best_sf = sf;
+      if (sf > best_sf + 1e-12) {
+        best_tie = -1;
+      } else {
+        if (!(sf > best_sf - 1e-12)) continue;
+        // Ties (e.g. equal maxFlow) break on the netflow with the whole flow
+        // cluster (paper §III-B.2), then on the smaller segment id. Only a
+        // tie pays for the flow-level netflow, of both candidates. (SF is
+        // non-negative, so the first candidate never lands here.)
+        if (best_tie < 0) best_tie = netflow(flow_participants, base_[best]);
+        const int tie = netflow(flow_participants, base_[h]);
+        if (tie < best_tie || (tie == best_tie && !(base_[h].sid() < base_[best].sid()))) {
+          continue;
+        }
         best_tie = tie;
-        best = h;
       }
+      best_sf = sf;
+      best = h;
     }
     return best;
   };

@@ -230,6 +230,9 @@ void record_phase1_counters(std::size_t trajectories, const Phase1Output& out) {
   reg.counter("neat_core_base_clusters_total").add(out.base_clusters.size());
 }
 
+/// Base clusters per chunk of the parallel finalize.
+constexpr std::size_t kFinalizeChunk = 256;
+
 /// The one Phase 1 body behind both build_base_clusters overloads.
 /// `trajectory_at(i)` yields trajectory i (a reference into a dataset, or a
 /// trajectory materialized by a source); `batch_done(begin, end)` runs after
@@ -297,9 +300,18 @@ Phase1Output build_phase1(const RoadNetwork& net, std::size_t total, unsigned n_
   }
 
   {
+    // Each cluster sorts and deduplicates its own participants, so the
+    // clusters finalize across the workers, no more workers than chunks;
+    // the density order follows.
     obs::ScopedSpan finalize_span("phase1.finalize");
     finalize_span.arg("base_clusters", static_cast<std::uint64_t>(clusters.size()));
-    for (BaseCluster& c : clusters) c.finalize();
+    const std::size_t chunks = (clusters.size() + kFinalizeChunk - 1) / kFinalizeChunk;
+    const auto threads = static_cast<unsigned>(std::min<std::size_t>(n_threads, chunks));
+    parallel_for(clusters.size(), threads, kFinalizeChunk, [&](unsigned, ChunkCursor& cursor) {
+      while (const std::optional<IndexRange> chunk = cursor.next()) {
+        for (std::size_t i = chunk->begin; i < chunk->end; ++i) clusters[i].finalize();
+      }
+    });
     sort_by_density(clusters);
   }
   out.base_clusters = std::move(clusters);

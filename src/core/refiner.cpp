@@ -304,9 +304,8 @@ std::vector<Refiner::FlowPair> Refiner::elb_survivors(
   std::sort(grid.begin(), grid.end());
   grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
 
-  std::vector<FlowPair> survivors;
-  std::vector<std::uint32_t> near;  // flows j > i in the blocks around flow i
-  const auto collect_near = [&](NodeId v, std::uint32_t i) {
+  // Flows j > i in the 3×3 blocks around the cell of junction v of flow i.
+  const auto collect_near = [&](NodeId v, std::uint32_t i, std::vector<std::uint32_t>& near) {
     const auto [cx, cy] = cell_of(v);
     for (std::int64_t x = std::max<std::int64_t>(cx - 1, 0); x <= cx + 1; ++x) {
       for (std::int64_t y = std::max<std::int64_t>(cy - 1, 0); y <= cy + 1; ++y) {
@@ -318,15 +317,36 @@ std::vector<Refiner::FlowPair> Refiner::elb_survivors(
       }
     }
   };
-  for (std::uint32_t i = 0; i < flows.size(); ++i) {
-    near.clear();
-    collect_near(flows[i].start_junction(), i);
-    if (endpoints) collect_near(flows[i].end_junction(), i);
-    std::sort(near.begin(), near.end());
-    near.erase(std::unique(near.begin(), near.end()), near.end());
-    for (const std::uint32_t j : near) {
-      if (!elb_pruned(flows[i], flows[j])) survivors.push_back({i, j});
+  // The per-flow probes run across the workers, no more workers than
+  // chunks. Each fixed chunk of flows keeps its survivors in its own slot,
+  // and the slots are joined in chunk order, so the list is the same at any
+  // thread count.
+  constexpr std::size_t kFlowChunk = 128;
+  const std::size_t chunks = (flows.size() + kFlowChunk - 1) / kFlowChunk;
+  const auto threads = static_cast<unsigned>(std::min<std::size_t>(config_.threads, chunks));
+  std::vector<std::vector<FlowPair>> chunk_survivors(chunks);
+  parallel_for(flows.size(), threads, kFlowChunk, [&](unsigned, ChunkCursor& cursor) {
+    std::vector<std::uint32_t> near;
+    while (const std::optional<IndexRange> chunk = cursor.next()) {
+      std::vector<FlowPair>& out = chunk_survivors[chunk->begin / kFlowChunk];
+      for (auto i = static_cast<std::uint32_t>(chunk->begin); i < chunk->end; ++i) {
+        near.clear();
+        collect_near(flows[i].start_junction(), i, near);
+        if (endpoints) collect_near(flows[i].end_junction(), i, near);
+        std::sort(near.begin(), near.end());
+        near.erase(std::unique(near.begin(), near.end()), near.end());
+        for (const std::uint32_t j : near) {
+          if (!elb_pruned(flows[i], flows[j])) out.push_back({i, j});
+        }
+      }
     }
+  });
+  std::size_t total = 0;
+  for (const std::vector<FlowPair>& c : chunk_survivors) total += c.size();
+  std::vector<FlowPair> survivors;
+  survivors.reserve(total);
+  for (const std::vector<FlowPair>& c : chunk_survivors) {
+    survivors.insert(survivors.end(), c.begin(), c.end());
   }
   return survivors;
 }

@@ -26,7 +26,8 @@
 // refine() never visits all n(n-1)/2 pairs. With ELB on, a uniform grid of
 // ε-wide cells over the points the ELB key measures yields the candidate
 // pairs, and the ELB test runs on those alone; every other pair is ELB-pruned
-// by construction. The candidates are evaluated in fixed chunks across
+// by construction. The join runs in fixed chunks of flows, and the
+// candidates are evaluated in fixed chunks of pairs, both across
 // RefineConfig::threads workers, which keep only the pairs within ε. The
 // DBSCAN merge then runs serially over each flow's ε-neighbour list, so
 // clusters and counters do not depend on the thread count, and time and
@@ -98,9 +99,10 @@ struct RefineConfig {
   /// DBSCAN minPts over flows. 1 (the default) makes every flow core, which
   /// matches the paper's "no minimum cardinality" modification.
   int min_pts{1};
-  /// Worker threads for the candidate-pair evaluation in
-  /// Refiner::refine. The output is bit-identical for any value; 0/1 =
-  /// serial. Honored by NeatClusterer and the serving/incremental paths.
+  /// Worker threads for the ELB grid join and the candidate-pair
+  /// evaluation in Refiner::refine. The output is bit-identical for any
+  /// value; 0/1 = serial. Honored by NeatClusterer and the
+  /// serving/incremental paths.
   unsigned threads{1};
 };
 
@@ -252,7 +254,8 @@ class Refiner {
   /// True when the ELB test prunes the pair (ELB on and key > ε).
   bool elb_pruned(const FlowCluster& a, const FlowCluster& b) const;
   /// Every pair the ELB test keeps, in (i, j) order, found by a grid join
-  /// instead of a scan over all pairs.
+  /// instead of a scan over all pairs; the join's per-flow probes run
+  /// across config().threads workers.
   std::vector<FlowPair> elb_survivors(const std::vector<FlowCluster>& flows) const;
   /// Evaluates pairs that already passed ELB into dist[k] (+inf when the
   /// landmark bound prunes pairs[k]), one pair at a time. Work counters

@@ -31,10 +31,11 @@ void full_sssp(const RoadNetwork& net, NodeId source, std::span<double> out) {
     heap.pop();
     const auto u = NodeId(u_raw);
     if (d > out[idx(u)]) continue;  // stale entry
-    for (const SegmentId sid : net.segments_at(u)) {
-      const Segment& seg = net.segment(sid);
-      const NodeId v = (seg.a == u) ? seg.b : seg.a;
-      const double nd = d + seg.length;
+    const std::span<const NodeId> far = net.star_far_ends(u);
+    const std::span<const double> length = net.star_lengths(u);
+    for (std::size_t k = 0; k < far.size(); ++k) {
+      const NodeId v = far[k];
+      const double nd = d + length[k];
       if (nd < out[idx(v)]) {
         out[idx(v)] = nd;
         heap.emplace(nd, v.value());

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <utility>
 
 #include "common/error.h"
 #include "common/string_util.h"
@@ -16,6 +19,10 @@ void validate_parts(const std::vector<Node>& nodes, const std::vector<Segment>& 
     NEAT_EXPECT(std::isfinite(nodes[i].pos.x) && std::isfinite(nodes[i].pos.y),
                 str_cat("node ", i, ": coordinates must be finite"));
   }
+  // Segment ids are 32-bit, and the flat adjacency's 32-bit offsets count
+  // two star entries per segment.
+  NEAT_EXPECT(segments.size() <= static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()),
+              "a network holds at most 2^31 - 1 segments");
   const auto n = static_cast<std::int64_t>(nodes.size());
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const Segment& s = segments[i];
@@ -37,6 +44,13 @@ void validate_parts(const std::vector<Node>& nodes, const std::vector<Segment>& 
   }
 }
 
+/// Turns row lengths (begin[v + 1] holds row v's) into CSR offsets in
+/// place; returns each row's first slot, the fill cursor.
+std::vector<std::uint32_t> counts_to_offsets(std::vector<std::uint32_t>& begin) {
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  return {begin.begin(), begin.end() - 1};
+}
+
 }  // namespace
 
 RoadNetwork::RoadNetwork(std::vector<Node> nodes, std::vector<Segment> segments)
@@ -46,39 +60,66 @@ RoadNetwork::RoadNetwork(std::vector<Node> nodes, std::vector<Segment> segments)
 }
 
 void RoadNetwork::build_topology() {
-  segments_at_node_.assign(nodes_.size(), {});
-  out_edges_.assign(nodes_.size(), {});
-  in_edges_.assign(nodes_.size(), {});
+  const std::size_t n = nodes_.size();
+  const auto at = [](NodeId v) { return static_cast<std::size_t>(v.value()); };
   segment_edges_.assign(segments_.size(), {EdgeId::invalid(), EdgeId::invalid()});
   edges_.clear();
   edges_.reserve(segments_.size() * 2);
-
   for (std::size_t i = 0; i < segments_.size(); ++i) {
     const auto sid = SegmentId(static_cast<std::int32_t>(i));
     const Segment& s = segments_[i];
-    segments_at_node_[static_cast<std::size_t>(s.a.value())].push_back(sid);
-    segments_at_node_[static_cast<std::size_t>(s.b.value())].push_back(sid);
-
-    const auto fwd = EdgeId(static_cast<std::int32_t>(edges_.size()));
+    segment_edges_[i][0] = EdgeId(static_cast<std::int32_t>(edges_.size()));
     edges_.push_back(DirectedEdge{sid, s.a, s.b});
-    out_edges_[static_cast<std::size_t>(s.a.value())].push_back(fwd);
-    in_edges_[static_cast<std::size_t>(s.b.value())].push_back(fwd);
-    segment_edges_[i][0] = fwd;
-
     if (s.bidirectional) {
-      const auto bwd = EdgeId(static_cast<std::int32_t>(edges_.size()));
+      segment_edges_[i][1] = EdgeId(static_cast<std::int32_t>(edges_.size()));
       edges_.push_back(DirectedEdge{sid, s.b, s.a});
-      out_edges_[static_cast<std::size_t>(s.b.value())].push_back(bwd);
-      in_edges_[static_cast<std::size_t>(s.a.value())].push_back(bwd);
-      segment_edges_[i][1] = bwd;
     }
+  }
+
+  // Count the rows, turn the counts into offsets, then fill the rows in id
+  // order, so each row lists its segments (edges) by ascending id.
+  star_begin_.assign(n + 1, 0);
+  out_begin_.assign(n + 1, 0);
+  in_begin_.assign(n + 1, 0);
+  for (const Segment& s : segments_) {
+    ++star_begin_[at(s.a) + 1];
+    ++star_begin_[at(s.b) + 1];
+  }
+  for (const DirectedEdge& e : edges_) {
+    ++out_begin_[at(e.from) + 1];
+    ++in_begin_[at(e.to) + 1];
+  }
+  std::vector<std::uint32_t> star_next = counts_to_offsets(star_begin_);
+  std::vector<std::uint32_t> out_next = counts_to_offsets(out_begin_);
+  std::vector<std::uint32_t> in_next = counts_to_offsets(in_begin_);
+
+  star_segment_.resize(star_begin_[n]);
+  star_far_.resize(star_begin_[n]);
+  star_length_.resize(star_begin_[n]);
+  for (std::size_t i = 0; i < segments_.size(); ++i) {
+    const Segment& s = segments_[i];
+    for (const auto& [near, far] : {std::pair{s.a, s.b}, std::pair{s.b, s.a}}) {
+      const std::uint32_t k = star_next[at(near)]++;
+      star_segment_[k] = SegmentId(static_cast<std::int32_t>(i));
+      star_far_[k] = far;
+      star_length_[k] = s.length;
+    }
+  }
+  out_edge_.resize(out_begin_[n]);
+  in_edge_.resize(in_begin_[n]);
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const auto eid = EdgeId(static_cast<std::int32_t>(i));
+    out_edge_[out_next[at(edges_[i].from)]++] = eid;
+    in_edge_[in_next[at(edges_[i].to)]++] = eid;
   }
 }
 
+void RoadNetwork::throw_no_node(NodeId n) {
+  throw NotFoundError(str_cat("no such node: ", n.value()));
+}
+
 const Node& RoadNetwork::node(NodeId id) const {
-  if (!id.valid() || static_cast<std::size_t>(id.value()) >= nodes_.size()) {
-    throw NotFoundError(str_cat("no such node: ", id.value()));
-  }
+  if (!id.valid() || static_cast<std::size_t>(id.value()) >= nodes_.size()) throw_no_node(id);
   return nodes_[static_cast<std::size_t>(id.value())];
 }
 
@@ -107,11 +148,6 @@ double RoadNetwork::project_to_segment(SegmentId id, Point p, double* out_dist) 
   const Projection proj = project_onto_segment(p, node(s.a).pos, node(s.b).pos);
   if (out_dist != nullptr) *out_dist = proj.dist;
   return proj.t * s.length;
-}
-
-std::span<const SegmentId> RoadNetwork::segments_at(NodeId n) const {
-  static_cast<void>(node(n));  // bounds check
-  return segments_at_node_[static_cast<std::size_t>(n.value())];
 }
 
 std::vector<SegmentId> RoadNetwork::adjacent_segments(SegmentId s, NodeId n) const {
@@ -157,16 +193,6 @@ int RoadNetwork::junction_degree(NodeId n) const {
   return static_cast<int>(segments_at(n).size());
 }
 
-std::span<const EdgeId> RoadNetwork::out_edges(NodeId n) const {
-  static_cast<void>(node(n));  // bounds check
-  return out_edges_[static_cast<std::size_t>(n.value())];
-}
-
-std::span<const EdgeId> RoadNetwork::in_edges(NodeId n) const {
-  static_cast<void>(node(n));  // bounds check
-  return in_edges_[static_cast<std::size_t>(n.value())];
-}
-
 EdgeId RoadNetwork::forward_edge(SegmentId s) const {
   static_cast<void>(segment(s));  // bounds check
   return segment_edges_[static_cast<std::size_t>(s.value())][0];
@@ -193,9 +219,10 @@ NetworkStats RoadNetwork::stats() const {
   st.total_length_km = total_m / 1000.0;
   st.avg_segment_length_m = segments_.empty() ? 0.0 : total_m / static_cast<double>(segments_.size());
   std::size_t degree_sum = 0;
-  for (const auto& star : segments_at_node_) {
-    degree_sum += star.size();
-    st.max_junction_degree = std::max(st.max_junction_degree, static_cast<int>(star.size()));
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const std::uint32_t degree = star_begin_[i + 1] - star_begin_[i];
+    degree_sum += degree;
+    st.max_junction_degree = std::max(st.max_junction_degree, static_cast<int>(degree));
   }
   st.avg_junction_degree =
       nodes_.empty() ? 0.0 : static_cast<double>(degree_sum) / static_cast<double>(nodes_.size());

@@ -104,8 +104,24 @@ class RoadNetwork {
 
   // --- segment-level (undirected) topology: the NEAT primitives ------------
 
-  /// All segments incident to junction `n` (the junction's star).
-  [[nodiscard]] std::span<const SegmentId> segments_at(NodeId n) const;
+  /// All segments incident to junction `n` (the junction's star), in
+  /// segment id order.
+  [[nodiscard]] std::span<const SegmentId> segments_at(NodeId n) const {
+    return row(star_begin_, star_segment_, n);
+  }
+
+  /// The far endpoints of the star of `n`, parallel to segments_at(n):
+  /// entry k is other_endpoint(segments_at(n)[k], n).
+  [[nodiscard]] std::span<const NodeId> star_far_ends(NodeId n) const {
+    return row(star_begin_, star_far_, n);
+  }
+
+  /// The lengths of the star of `n`, parallel to segments_at(n): entry k
+  /// is segment_length(segments_at(n)[k]). Shortest-path searches walk
+  /// these two arrays instead of looking up every segment they relax.
+  [[nodiscard]] std::span<const double> star_lengths(NodeId n) const {
+    return row(star_begin_, star_length_, n);
+  }
 
   /// The paper's L_n(e): segments adjacent to `s` at its endpoint `n`,
   /// excluding `s` itself. `n` must be an endpoint of `s`.
@@ -131,11 +147,15 @@ class RoadNetwork {
 
   // --- directed topology: used by routing / simulation ----------------------
 
-  /// Directed edges leaving junction `n`.
-  [[nodiscard]] std::span<const EdgeId> out_edges(NodeId n) const;
+  /// Directed edges leaving junction `n`, in edge id order.
+  [[nodiscard]] std::span<const EdgeId> out_edges(NodeId n) const {
+    return row(out_begin_, out_edge_, n);
+  }
 
-  /// Directed edges entering junction `n`.
-  [[nodiscard]] std::span<const EdgeId> in_edges(NodeId n) const;
+  /// Directed edges entering junction `n`, in edge id order.
+  [[nodiscard]] std::span<const EdgeId> in_edges(NodeId n) const {
+    return row(in_begin_, in_edge_, n);
+  }
 
   /// The a->b directed edge of a segment.
   [[nodiscard]] EdgeId forward_edge(SegmentId s) const;
@@ -159,12 +179,31 @@ class RoadNetwork {
  private:
   void build_topology();
 
+  /// Node `n`'s row of a flat adjacency: items[begin[n], begin[n + 1]).
+  /// Throws neat::NotFoundError for invalid ids.
+  template <typename T>
+  [[nodiscard]] std::span<const T> row(const std::vector<std::uint32_t>& begin,
+                                       const std::vector<T>& items, NodeId n) const {
+    if (!n.valid() || static_cast<std::size_t>(n.value()) >= nodes_.size()) throw_no_node(n);
+    const auto i = static_cast<std::size_t>(n.value());
+    return {items.data() + begin[i], items.data() + begin[i + 1]};
+  }
+  [[noreturn]] static void throw_no_node(NodeId n);
+
   std::vector<Node> nodes_;
   std::vector<Segment> segments_;
   std::vector<DirectedEdge> edges_;
-  std::vector<std::vector<SegmentId>> segments_at_node_;
-  std::vector<std::vector<EdgeId>> out_edges_;
-  std::vector<std::vector<EdgeId>> in_edges_;
+  // Flat (CSR) adjacency: one offset array of node_count() + 1 entries per
+  // list, and the rows of all nodes back to back. The three star arrays
+  // share star_begin_.
+  std::vector<std::uint32_t> star_begin_;
+  std::vector<SegmentId> star_segment_;
+  std::vector<NodeId> star_far_;
+  std::vector<double> star_length_;
+  std::vector<std::uint32_t> out_begin_;
+  std::vector<EdgeId> out_edge_;
+  std::vector<std::uint32_t> in_begin_;
+  std::vector<EdgeId> in_edge_;
   // Per segment: [forward edge, backward edge (invalid if one-way)].
   std::vector<std::array<EdgeId, 2>> segment_edges_;
 };

@@ -65,11 +65,19 @@ double NodeDistanceOracle::search(NodeId s, std::span<const NodeId> targets,
   dist_[idx(s)] = 0.0;
   stamp_[idx(s)] = generation_;
 
-  MinHeap heap;
-  heap.emplace(potential(s), s.value());
-  while (!heap.empty()) {
-    const auto [f, u_raw] = heap.top();
-    heap.pop();
+  // The heap vector is kept across searches (its capacity is reused); the
+  // push_heap/pop_heap pair orders pops by (key, node) exactly as a
+  // std::priority_queue over the same comparator would.
+  heap_.clear();
+  const auto push = [this](double key, NodeId v) {
+    heap_.emplace_back(key, v.value());
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  };
+  push(potential(s), s);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto [f, u_raw] = heap_.back();
+    heap_.pop_back();
     const auto u = NodeId(u_raw);
     const double g = dist_[idx(u)];
     if (f > g + potential(u)) continue;  // stale entry (g improved since push)
@@ -85,14 +93,15 @@ double NodeDistanceOracle::search(NodeId s, std::span<const NodeId> targets,
       target_done_[k] = 1;
       if (--remaining == 0) return 0.0;
     }
-    for (const SegmentId sid : net_.segments_at(u)) {
-      const Segment& seg = net_.segment(sid);
-      const NodeId v = (seg.a == u) ? seg.b : seg.a;
-      const double nd = g + seg.length;
+    const std::span<const NodeId> far = net_.star_far_ends(u);
+    const std::span<const double> length = net_.star_lengths(u);
+    for (std::size_t k = 0; k < far.size(); ++k) {
+      const NodeId v = far[k];
+      const double nd = g + length[k];
       if (stamp_[idx(v)] != generation_ || nd < dist_[idx(v)]) {
         dist_[idx(v)] = nd;
         stamp_[idx(v)] = generation_;
-        heap.emplace(nd + potential(v), v.value());
+        push(nd + potential(v), v);
       }
     }
   }
@@ -153,10 +162,11 @@ std::optional<std::vector<NodeId>> shortest_node_path(const RoadNetwork& net, No
     if (d > dist[idx(u)]) continue;
     if (d > bound) return std::nullopt;
     if (u == t) break;
-    for (const SegmentId sid : net.segments_at(u)) {
-      const Segment& seg = net.segment(sid);
-      const NodeId v = (seg.a == u) ? seg.b : seg.a;
-      const double nd = d + seg.length;
+    const std::span<const NodeId> far = net.star_far_ends(u);
+    const std::span<const double> length = net.star_lengths(u);
+    for (std::size_t k = 0; k < far.size(); ++k) {
+      const NodeId v = far[k];
+      const double nd = d + length[k];
       if (nd < dist[idx(v)]) {
         dist[idx(v)] = nd;
         parent[idx(v)] = u;

@@ -13,6 +13,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -95,6 +96,8 @@ class NodeDistanceOracle {
   const RoadNetwork& net_;
   std::vector<double> dist_;
   std::vector<std::uint32_t> stamp_;
+  /// Binary min-heap of (key, node id), kept across searches.
+  std::vector<std::pair<double, std::int32_t>> heap_;
   std::vector<char> target_done_;  ///< Per-call scratch, sized to the target set.
   std::uint32_t generation_{0};
   std::size_t computations_{0};

@@ -6,11 +6,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <numeric>
+#include <optional>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/parallel_for.h"
 #include "common/string_util.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -58,6 +63,9 @@ std::uint64_t pad8(std::uint64_t pos) { return (8 - pos % 8) % 8; }
 
 /// Column byte widths in section order (t, seg, x, y, flags).
 constexpr std::uint64_t kColStride[5] = {8, 4, 8, 8, 1};
+
+/// Read buffer bytes the checksum pass holds, across all its workers.
+constexpr std::size_t kVerifyBufferBytes = std::size_t{1} << 20;
 
 std::size_t page_size() {
   static const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
@@ -167,36 +175,49 @@ ColumnarTrajectoryStore::ColumnarTrajectoryStore(const std::string& path) : path
     }
   }
 
-  // Stream each section through read() and chain the digests exactly as the
-  // writer does. Reading via the fd (not the future mapping) keeps
-  // verification from inflating the resident set.
+  // Digest each section through pread() and chain the digests in section
+  // order, exactly as the writer does. Reading via the fd (not the future
+  // mapping) keeps verification from inflating the resident set. The
+  // sections are digested in parallel, largest first; the workers split one
+  // kVerifyBufferBytes budget, because a freed read buffer stays resident in
+  // its worker's malloc arena.
   {
     obs::ScopedSpan span("store.verify_checksum");
     span.arg("bytes", size_);
-    const std::uint64_t sections[7][2] = {
+    const std::array<std::array<std::uint64_t, 2>, 7> sections{{
         {actual[0], header_.num_trajectories * 8},
         {actual[1], (header_.num_trajectories + 1) * 8},
         {actual[2], header_.num_points * kColStride[0]},
         {actual[3], header_.num_points * kColStride[1]},
         {actual[4], header_.num_points * kColStride[2]},
         {actual[5], header_.num_points * kColStride[3]},
-        {actual[6], header_.num_points * kColStride[4]}};
-    std::vector<char> buf(1 << 20);
-    Fnv1a combined;
-    for (const auto& [off0, len] : sections) {
-      Fnv1a section;
-      std::uint64_t off = off0;
-      std::uint64_t remaining = len;
-      while (remaining > 0) {
-        const std::uint64_t n = std::min<std::uint64_t>(remaining, buf.size());
-        read_exact(fd.fd, off, buf.data(), n, path_);
-        section.update(buf.data(), n);
-        off += n;
-        remaining -= n;
+        {actual[6], header_.num_points * kColStride[4]}}};
+    std::array<std::size_t, 7> largest_first{};
+    std::iota(largest_first.begin(), largest_first.end(), 0);
+    std::stable_sort(largest_first.begin(), largest_first.end(),
+                     [&](std::size_t a, std::size_t b) { return sections[a][1] > sections[b][1]; });
+    const unsigned threads = std::min(7u, std::max(1u, std::thread::hardware_concurrency()));
+    const unsigned workers = parallel_workers(sections.size(), threads);
+    std::array<std::uint64_t, 7> digests{};
+    parallel_for(sections.size(), threads, 1, [&](unsigned, ChunkCursor& cursor) {
+      std::vector<char> buf(kVerifyBufferBytes / workers);
+      while (const std::optional<IndexRange> chunk = cursor.next()) {
+        const std::size_t k = largest_first[chunk->begin];
+        Fnv1a section;
+        std::uint64_t off = sections[k][0];
+        std::uint64_t remaining = sections[k][1];
+        while (remaining > 0) {
+          const std::uint64_t n = std::min<std::uint64_t>(remaining, buf.size());
+          read_exact(fd.fd, off, buf.data(), n, path_);
+          section.update(buf.data(), n);
+          off += n;
+          remaining -= n;
+        }
+        digests[k] = section.digest();
       }
-      const std::uint64_t d = section.digest();
-      combined.update(&d, sizeof(d));
-    }
+    });
+    Fnv1a combined;
+    for (const std::uint64_t d : digests) combined.update(&d, sizeof(d));
     if (combined.digest() != footer.checksum) {
       throw ParseError(str_cat("'", path, "' failed checksum verification"));
     }

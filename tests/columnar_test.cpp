@@ -4,7 +4,9 @@
 // mapped-bytes accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -196,6 +198,76 @@ TEST(Columnar, OpenRejectsCorruptFiles) {
   // The pristine file still opens with full verification.
   const store::ColumnarTrajectoryStore cstore(good);
   EXPECT_EQ(cstore.size(), data.size());
+  std::remove(good.c_str());
+  std::remove(bad.c_str());
+}
+
+TEST(Columnar, ChecksumCoversEverySectionInOrder) {
+  const traj::TrajectoryDataset data = sim_dataset(10, 3);
+  const std::string good = tmp_path("sections.neatcol");
+  traj::save_columnar(data, good);
+  std::ifstream in(good, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  in.close();
+  traj::ColumnarHeader h;
+  ASSERT_GT(bytes.size(), sizeof(h));
+  std::memcpy(&h, bytes.data(), sizeof(h));
+
+  const std::string bad = tmp_path("sections_bad.neatcol");
+  const auto expect_checksum_failure = [&bad](const std::string& b, const std::string& what) {
+    {
+      std::ofstream out(bad, std::ios::binary | std::ios::trunc);
+      out.write(b.data(), static_cast<std::streamsize>(b.size()));
+    }
+    try {
+      const store::ColumnarTrajectoryStore cstore(bad);
+      ADD_FAILURE() << what << ": the corrupt file opened";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("failed checksum verification"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+
+  struct Section {
+    const char* name;
+    std::uint64_t off;
+    std::uint64_t len;
+  };
+  const Section sections[7] = {{"trid", h.off_trid, h.num_trajectories * 8},
+                               {"index", h.off_index, (h.num_trajectories + 1) * 8},
+                               {"t", h.off_t, h.num_points * 8},
+                               {"seg", h.off_seg, h.num_points * 4},
+                               {"x", h.off_x, h.num_points * 8},
+                               {"y", h.off_y, h.num_points * 8},
+                               {"flags", h.off_flags, h.num_points}};
+  for (const Section& sec : sections) {
+    std::string b = bytes;
+    if (std::string(sec.name) == "index") {
+      // Move one interior offset by one: the index stays monotone and ends
+      // at num_points, so only the checksum can catch it.
+      const std::uint64_t k = h.num_trajectories / 2;
+      std::uint64_t around[3];
+      std::memcpy(around, bytes.data() + sec.off + 8 * (k - 1), sizeof(around));
+      ASSERT_GE(around[1] - around[0], 2u);
+      ASSERT_GE(around[2] - around[1], 2u);
+      b[sec.off + 8 * k] ^= 0x01;
+    } else {
+      b[sec.off + sec.len / 2] ^= 0x40;
+    }
+    expect_checksum_failure(b, sec.name);
+  }
+  {
+    // x and y are equally long: swapping them keeps every section digest
+    // and changes only the order the chain meets them in.
+    const std::uint64_t len = h.num_points * 8;
+    ASSERT_NE(bytes.compare(h.off_x, len, bytes, h.off_y, len), 0);
+    std::string b = bytes;
+    std::swap_ranges(b.begin() + static_cast<std::ptrdiff_t>(h.off_x),
+                     b.begin() + static_cast<std::ptrdiff_t>(h.off_x + len),
+                     b.begin() + static_cast<std::ptrdiff_t>(h.off_y));
+    expect_checksum_failure(b, "x and y swapped");
+  }
+  EXPECT_EQ(store::ColumnarTrajectoryStore(good).size(), data.size());
   std::remove(good.c_str());
   std::remove(bad.c_str());
 }

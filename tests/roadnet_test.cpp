@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "roadnet/builder.h"
+#include "roadnet/generators.h"
 #include "roadnet/road_network.h"
 #include "test_util.h"
 
@@ -212,6 +217,107 @@ TEST(RoadNetwork, ConstructorValidatesParts) {
   {
     std::vector<Segment> segs{{NodeId(0), NodeId(1), 10.0, 10.0, true}};  // undercut
     EXPECT_THROW(RoadNetwork(nodes, segs), PreconditionError);
+  }
+}
+
+/// A generated city with irregular topology added from a seeded Rng:
+/// longer parallel twins of some segments (some one-way), dead-end spurs in
+/// both directions, and isolated junctions with an empty star.
+RoadNetwork irregular_network(std::uint64_t seed) {
+  CityParams params;
+  params.rows = 12;
+  params.cols = 12;
+  params.oneway_probability = 0.2;
+  params.seed = seed;
+  const RoadNetwork city = make_city(params);
+  std::vector<Node> nodes = city.nodes();
+  std::vector<Segment> segments = city.segments();
+  Rng rng(seed);
+  const std::size_t city_segments = segments.size();
+  for (std::size_t k = 0; k < city_segments / 8; ++k) {
+    Segment twin = segments[rng.index(city_segments)];
+    twin.length *= 1.5;
+    twin.bidirectional = k % 3 != 0;
+    segments.push_back(twin);
+  }
+  const std::size_t city_nodes = nodes.size();
+  for (std::size_t k = 0; k < 24; ++k) {
+    const auto hub = NodeId(static_cast<std::int32_t>(rng.index(city_nodes)));
+    const Point p = nodes[static_cast<std::size_t>(hub.value())].pos;
+    nodes.push_back(Node{{p.x + 7.0, p.y + 5.0}});
+    const auto spur = NodeId(static_cast<std::int32_t>(nodes.size() - 1));
+    const bool inward = k % 4 == 1;
+    segments.push_back(Segment{inward ? spur : hub, inward ? hub : spur, 12.0, 10.0, k % 2 == 0});
+    if (k % 6 == 0) nodes.push_back(Node{{p.x - 9.0, p.y}});  // isolated junction
+  }
+  return RoadNetwork(std::move(nodes), std::move(segments));
+}
+
+TEST(RoadNetwork, FlatAdjacencyMatchesPerNodeLists) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const RoadNetwork net = irregular_network(seed);
+    const std::size_t n = net.node_count();
+    const auto id = [](std::size_t i) { return static_cast<std::int32_t>(i); };
+    // The per-node reference: ids pushed in id order.
+    std::vector<std::vector<SegmentId>> star(n);
+    std::vector<std::vector<EdgeId>> out(n);
+    std::vector<std::vector<EdgeId>> in(n);
+    for (std::size_t i = 0; i < net.segment_count(); ++i) {
+      const Segment& s = net.segments()[i];
+      star[static_cast<std::size_t>(s.a.value())].push_back(SegmentId(id(i)));
+      star[static_cast<std::size_t>(s.b.value())].push_back(SegmentId(id(i)));
+    }
+    for (std::size_t e = 0; e < net.edge_count(); ++e) {
+      const DirectedEdge& d = net.edges()[e];
+      out[static_cast<std::size_t>(d.from.value())].push_back(EdgeId(id(e)));
+      in[static_cast<std::size_t>(d.to.value())].push_back(EdgeId(id(e)));
+    }
+
+    // The network has every irregularity the rows must survive.
+    EXPECT_LT(net.edge_count(), 2 * net.segment_count()) << "one-way segments";
+    const auto degree_is = [&](int d) {
+      for (std::size_t v = 0; v < n; ++v) {
+        if (net.junction_degree(NodeId(id(v))) == d) return true;
+      }
+      return false;
+    };
+    EXPECT_TRUE(degree_is(0)) << "isolated junctions";
+    EXPECT_TRUE(degree_is(1)) << "dead ends";
+    bool parallel = false;
+    for (std::size_t v = 0; v < n && !parallel; ++v) {
+      const std::vector<SegmentId>& row = star[v];
+      for (std::size_t x = 0; x < row.size() && !parallel; ++x) {
+        for (std::size_t y = x + 1; y < row.size() && !parallel; ++y) {
+          parallel = net.other_endpoint(row[x], NodeId(id(v))) ==
+                     net.other_endpoint(row[y], NodeId(id(v)));
+        }
+      }
+    }
+    EXPECT_TRUE(parallel) << "parallel segments";
+
+    for (std::size_t v = 0; v < n; ++v) {
+      const auto node = NodeId(id(v));
+      const std::span<const SegmentId> segments = net.segments_at(node);
+      ASSERT_EQ(std::vector<SegmentId>(segments.begin(), segments.end()), star[v]) << v;
+      const std::span<const EdgeId> out_row = net.out_edges(node);
+      EXPECT_EQ(std::vector<EdgeId>(out_row.begin(), out_row.end()), out[v]) << v;
+      const std::span<const EdgeId> in_row = net.in_edges(node);
+      EXPECT_EQ(std::vector<EdgeId>(in_row.begin(), in_row.end()), in[v]) << v;
+      const std::span<const NodeId> far = net.star_far_ends(node);
+      const std::span<const double> length = net.star_lengths(node);
+      ASSERT_EQ(far.size(), star[v].size());
+      ASSERT_EQ(length.size(), star[v].size());
+      for (std::size_t k = 0; k < star[v].size(); ++k) {
+        EXPECT_EQ(far[k], net.other_endpoint(star[v][k], node));
+        EXPECT_EQ(length[k], net.segment_length(star[v][k]));
+      }
+    }
+    const auto past_end = NodeId(id(n));
+    EXPECT_THROW(static_cast<void>(net.segments_at(past_end)), NotFoundError);
+    EXPECT_THROW(static_cast<void>(net.star_far_ends(past_end)), NotFoundError);
+    EXPECT_THROW(static_cast<void>(net.star_lengths(NodeId::invalid())), NotFoundError);
+    EXPECT_THROW(static_cast<void>(net.out_edges(past_end)), NotFoundError);
+    EXPECT_THROW(static_cast<void>(net.in_edges(NodeId::invalid())), NotFoundError);
   }
 }
 

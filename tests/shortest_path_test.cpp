@@ -2,6 +2,7 @@
 // random graphs (property sweep), route reconstruction, bounds, SSSP trees.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -59,6 +60,54 @@ TEST(NodeDistanceOracle, ReusableAndCounts) {
   EXPECT_EQ(oracle.computations(), 3u);
   oracle.reset_counters();
   EXPECT_EQ(oracle.computations(), 0u);
+}
+
+TEST(NodeDistanceOracle, ReusedOracleMatchesFreshOnes) {
+  // Long searches return when their targets settle, with their heap still
+  // full; every query after them on the same oracle, from another source,
+  // must answer as a new oracle does, down to the settled count.
+  CityParams params;
+  params.rows = 16;
+  params.cols = 16;
+  params.seed = 5;
+  const RoadNetwork net = make_city(params);
+  const auto a = NodeId(static_cast<std::int32_t>(net.node_count() - 1));
+  const NodeId b(0);
+  const NodeId near_a = net.other_endpoint(net.segments_at(a)[0], a);
+  const NodeId near_b = net.other_endpoint(net.segments_at(b)[0], b);
+
+  struct Query {
+    NodeId source;
+    std::array<NodeId, 2> targets;
+    double bound;
+    bool batched;  ///< distances() to both targets, else distance() to the first
+  };
+  const Query queries[] = {{a, {b, NodeId(1)}, kInfDistance, false},
+                           {a, {b, NodeId(1)}, kInfDistance, true},
+                           {b, {near_b, a}, 800.0, false},
+                           {b, {near_b, a}, 800.0, true},
+                           {near_a, {b, near_b}, kInfDistance, true},
+                           {b, {near_b, a}, kInfDistance, false}};
+  const auto run = [](NodeDistanceOracle& oracle, const Query& q) {
+    const std::size_t before = oracle.settled_nodes();
+    std::array<double, 2> d{kInfDistance, kInfDistance};
+    if (q.batched) {
+      oracle.distances(q.source, q.targets, d, q.bound);
+    } else {
+      d[0] = oracle.distance(q.source, q.targets[0], q.bound);
+    }
+    return std::pair{d, oracle.settled_nodes() - before};
+  };
+  NodeDistanceOracle reused(net);
+  std::vector<std::size_t> settled;
+  for (const Query& q : queries) {
+    NodeDistanceOracle fresh(net);
+    const auto want = run(fresh, q);
+    EXPECT_EQ(run(reused, q), want);
+    settled.push_back(want.second);
+  }
+  EXPECT_GT(settled[0], 4 * settled[2]) << "the long search must dwarf the short one";
+  EXPECT_EQ(reused.computations(), std::size(queries));
 }
 
 TEST(NodeDistanceOracle, EmptyTargetSetIsInfiniteAndFree) {
