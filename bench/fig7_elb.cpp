@@ -1,29 +1,23 @@
 // Figure 7 — effectiveness of the Phase 3 pruning ladder.
 //
-// Compares five opt-NEAT variants on the ATL (a) and SJ (b) datasets:
+// Compares three opt-NEAT variants on the ATL (a) and SJ (b) datasets:
 //   none         — opt-NEAT-Dijkstra: no prefilter, full shortest paths;
 //   ELB          — the paper's Euclidean lower bound (§III-C.3);
 //   ELB+landmark — ELB, then the ALT triangle-inequality bound, with the
 //                  landmark tables also steering surviving searches as A*
-//                  potentials;
-//   ELB+CH-nolm  — ELB, with surviving pairs answered by the contraction
-//                  hierarchy's memoized upward labels (exact, same
-//                  clusters, a fraction of the settled nodes);
-//   ELB+CH       — ELB+CH-nolm with the landmark bound in front of the
-//                  hierarchy. Its sp-calls, lm-pruned and settled columns
-//                  against ELB+CH-nolm show what the landmark prune saves
-//                  under CH. The phase3 s column cannot show it: every run
-//                  builds a fresh hierarchy, which costs far more than the
-//                  searches at these scales.
+//                  potentials.
 // The paper's observations to reproduce: the Dijkstra variant's cost tracks
 // the *number of flows* (Table III), not the dataset size — visible in the
-// SJ series — and ELB removes most of the shortest-path work. The landmark
-// row must show strictly fewer Dijkstra runs than ELB alone on these
-// grid-like networks, where straight-line bounds are loose. The settled
-// column is the ladder's work proxy: ELB+CH must settle >= 5x fewer nodes
-// than ELB+landmark.
+// SJ series — and ELB removes most of the shortest-path work. The bench
+// checks the count claims on every dataset, and exits 1 naming the dataset
+// and the claim when one fails:
+//   * ELB removes at least half of none's shortest-path computations;
+//   * ELB+landmark issues no more of them than ELB;
+//   * all three variants give identical final clusters.
+// The times are printed, not checked.
+#include <algorithm>
 #include <iostream>
-#include <string_view>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -36,6 +30,7 @@
 #include "eval/table.h"
 #include "obs/prof/profiler.h"
 #include "obs/registry.h"
+#include "roadnet/landmark_oracle.h"
 
 using namespace neat;
 
@@ -79,56 +74,74 @@ std::vector<Variant> variants() {
   elb.refine.epsilon = 3000.0;
   elb.refine.use_elb = true;
   Config elb_lm = elb;
-  elb_lm.refine.use_landmarks = true;
-  // The CH rung without the landmark bound: every ELB survivor is searched.
-  Config elb_ch_nolm = elb;
-  elb_ch_nolm.refine.distance_engine = DistanceEngine::kCh;
-  // The CH rung keeps the full admissible prefilter stack (ELB + landmark
-  // bounds) and swaps the engine answering the surviving queries, so its
-  // settled column isolates the per-query win of the hierarchy.
-  Config elb_ch = elb_lm;
-  elb_ch.refine.distance_engine = DistanceEngine::kCh;
-  return {{"none", none},
-          {"ELB", elb},
-          {"ELB+landmark", elb_lm},
-          {"ELB+CH-nolm", elb_ch_nolm},
-          {"ELB+CH", elb_ch}};
+  elb_lm.refine.landmarks = roadnet::LandmarkOracle::kDefaultLandmarks;
+  return {{"none", none}, {"ELB", elb}, {"ELB+landmark", elb_lm}};
 }
 
-/// Settled-node totals of the two accelerated rungs, accumulated across all
-/// datasets — the acceptance evidence that CH answers the surviving queries
-/// with >= 5x fewer settled nodes than the landmark-steered A* rung.
-struct SettledTotals {
-  std::uint64_t elb_lm{0};
-  std::uint64_t elb_ch{0};
-};
+/// True when both runs formed the same final clusters: the same flows and
+/// the same participants, in the same order.
+bool same_clusters(const std::vector<FinalCluster>& a, const std::vector<FinalCluster>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const FinalCluster& x, const FinalCluster& y) {
+                      return x.flows == y.flows && x.participants == y.participants;
+                    });
+}
+
+/// Checks one dataset's rows (in variants() order) against the Figure 7
+/// claims and appends a line naming the dataset and the claim for each one
+/// that fails.
+void check_shape(const std::string& dataset, const std::vector<PruneSample>& samples,
+                 const std::vector<std::vector<FinalCluster>>& finals,
+                 std::vector<std::string>& failures) {
+  const std::uint64_t none = samples[0].sp_calls;
+  const std::uint64_t elb = samples[1].sp_calls;
+  const std::uint64_t elb_lm = samples[2].sp_calls;
+  if (2 * elb > none) {
+    failures.push_back(str_cat(dataset, ": ELB issues ", elb, " of none's ", none,
+                               " sp-calls; the claim is that it removes at least half"));
+  }
+  if (elb_lm > elb) {
+    failures.push_back(str_cat(dataset, ": ELB+landmark issues ", elb_lm,
+                               " sp-calls, more than ELB's ", elb,
+                               "; the claim is no more than ELB"));
+  }
+  for (std::size_t v = 1; v < finals.size(); ++v) {
+    if (!same_clusters(finals[0], finals[v])) {
+      failures.push_back(str_cat(dataset, ": ", variants()[v].name,
+                                 " forms other final clusters than none; the claim is"
+                                 " identical clusters in every variant"));
+    }
+  }
+}
 
 void run_city(const char* city, eval::ExperimentEnv& env, bench::BenchJson& json,
-              SettledTotals& totals) {
+              std::vector<std::string>& failures) {
   const roadnet::RoadNetwork& net = env.network(city);
 
   eval::TextTable table({"dataset", "#flows", "pruning", "total s", "phase3 s",
                          "sp-calls", "ELB-pruned", "lm-pruned", "settled"});
   for (const std::size_t objects : eval::kPaperObjectCounts) {
     const traj::TrajectoryDataset& data = env.dataset(city, objects);
+    std::vector<PruneSample> samples;
+    std::vector<std::vector<FinalCluster>> finals;
     for (const Variant& v : variants()) {
       // Medians over NEAT_BENCH_REPEATS runs; the pruning counters are
       // deterministic, only the wall times vary.
       std::vector<double> totals_s, p3s;
       PruneSample d;
-      std::size_t flows = 0;
+      Result r;
       for (int rep = 0; rep < bench::repeats(); ++rep) {
         const PruneSample before = PruneSample::take();
-        const Result r = NeatClusterer(net, v.config).run(data);
+        r = NeatClusterer(net, v.config).run(data);
         d = PruneSample::take() - before;
         totals_s.push_back(r.timing.total_s());
         p3s.push_back(r.timing.phase3_s);
-        flows = r.flow_clusters.size();
       }
+      const std::size_t flows = r.flow_clusters.size();
       const double total_s = bench::median(totals_s);
       const double phase3_s = bench::median(p3s);
-      if (std::string_view(v.name) == "ELB+landmark") totals.elb_lm += d.settled;
-      if (std::string_view(v.name) == "ELB+CH") totals.elb_ch += d.settled;
+      samples.push_back(d);
+      finals.push_back(std::move(r.final_clusters));
       table.add_row({str_cat(city, objects), std::to_string(flows),
                      v.name, format_fixed(total_s, 3),
                      format_fixed(phase3_s, 3),
@@ -145,6 +158,7 @@ void run_city(const char* city, eval::ExperimentEnv& env, bench::BenchJson& json
                     {"settled", static_cast<double>(d.settled)},
                     {"flows", static_cast<double>(flows)}});
     }
+    check_shape(str_cat(city, objects), samples, finals, failures);
   }
   std::cout << "(" << (city[0] == 'A' ? "a" : "b") << ") " << city << " datasets:\n";
   table.print(std::cout);
@@ -158,26 +172,15 @@ int main() {
   bench::default_logs_to_warn();
   eval::print_scale_banner(
       std::cout,
-      "Figure 7: pruning ladder (none / ELB / ELB+landmark / ELB+CH-nolm / ELB+CH) in Phase 3");
+      "Figure 7: pruning ladder (none / ELB / ELB+landmark) in Phase 3");
   eval::ExperimentEnv& env = eval::ExperimentEnv::instance();
   bench::BenchJson json("fig7", env.object_scale(), env.network_scale());
-  SettledTotals totals;
-  run_city("ATL", env, json, totals);
-  run_city("SJ", env, json, totals);
-  std::cout << "(shapes to check: Dijkstra phase-3 time tracks #flows, not points —\n"
-               "the paper's SJ1000 spike, cf. Table III — ELB collapses both the\n"
-               "sp-call count and the phase-3 time, and ELB+landmark strictly\n"
-               "undercuts ELB's sp-calls on these grid-like networks)\n";
-  const double ratio =
-      totals.elb_ch > 0 ? static_cast<double>(totals.elb_lm) / static_cast<double>(totals.elb_ch)
-                        : 0.0;
-  std::cout << "\nladder settled totals: ELB+landmark " << totals.elb_lm << ", ELB+CH "
-            << totals.elb_ch << " (" << format_fixed(ratio, 2)
-            << "x fewer nodes settled by the hierarchy)\n";
-  json.add_row("ladder_settled",
-               {{"elb_landmark", static_cast<double>(totals.elb_lm)},
-                {"elb_ch", static_cast<double>(totals.elb_ch)},
-                {"lm_over_ch_ratio", ratio}});
+  std::vector<std::string> failures;
+  run_city("ATL", env, json, failures);
+  run_city("SJ", env, json, failures);
+  std::cout << "(shapes to see by eye: Dijkstra phase-3 time tracks #flows, not\n"
+               "points — the paper's SJ1000 spike, cf. Table III — and ELB collapses\n"
+               "the phase-3 time with the sp-call count)\n";
 
   // Hot-spot attribution: one extra (untimed) ELB repeat of the largest ATL
   // dataset under the sampling profiler; the top symbols ride in the
@@ -212,5 +215,13 @@ int main() {
   json.write(json_path);
   std::cout << "\nbench trajectory written to " << json_path
             << " (diff against a baseline with tools/bench_diff.py)\n";
+
+  if (!failures.empty()) {
+    for (const std::string& f : failures) std::cout << "FAIL " << f << '\n';
+    return 1;
+  }
+  std::cout << "\nFigure 7 shape holds on every dataset: ELB removes at least half of\n"
+               "none's sp-calls, ELB+landmark issues no more than ELB, and the final\n"
+               "clusters are identical in all three variants\n";
   return 0;
 }

@@ -101,9 +101,10 @@ void BM_DijkstraNodeDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraNodeDistance);
 
-// The distance-engine ladder: 0 = Dijkstra, 1 = ALT, 2 = CH. Endpoints
-// cycle over the network, so the CH rows measure the mixed regime the
-// refiner sees: label builds on first touch, pure label merges afterwards.
+// The shortest-distance engines: 0 = Dijkstra, 1 = ALT (Phase 3's two
+// rungs), 2 = CH (the hierarchy /v1/table answers from). Endpoints cycle
+// over the network, so the CH rows measure a mixed regime: label builds on
+// first touch, pure label merges afterwards.
 void BM_PointToPointDistance(benchmark::State& state) {
   const Fixture& f = Fixture::get();
   const int engine = static_cast<int>(state.range(0));

@@ -7,17 +7,20 @@
 //   $ ./neat_cli --network net.csv --trajectories trips.csv
 //                [--columnar] [--mode base|flow|opt] [--epsilon M] [--min-card N|auto]
 //                [--wq X --wk Y --wv Z] [--beta B] [--no-elb]
-//                [--landmarks N] [--distance-engine dijkstra|alt|ch]
-//                [--threads N] [--refine-threads N]
+//                [--landmarks K] [--threads N] [--refine-threads N]
 //                [--metrics-out metrics.prom] [--trace-out trace.json]
 //                [--profile-out profile.folded]
 //                [--admin-port PORT] [--out prefix]
 //                [--log-level LEVEL] [--log-out FILE]
 //
-// --distance-engine picks the Phase 3 shortest-distance backend: plain
-// Dijkstra, ALT (Dijkstra with landmark A*, same as --landmarks with the
-// default count), or a contraction hierarchy with memoized upward labels
-// (fastest; exact in all cases).
+// Phase 3 answers the pairs pruning cannot skip with bounded Dijkstra;
+// --landmarks K (1-64) builds K landmark tables that prune more pairs and
+// steer the surviving searches as A* (the ALT rung). Both rungs return the
+// same distances, so the clusters are the same.
+//
+// Integer flags take values in their documented range only; anything else
+// (a negative count, a value that would not fit the option) prints the
+// usage and exits 2.
 //
 // --columnar treats --trajectories as a binary columnar file (written by
 // neat_convert or sim::generate_columnar_stream) and runs Phase 1
@@ -63,6 +66,7 @@
 #include "obs/trace.h"
 #include "roadnet/generators.h"
 #include "roadnet/io.h"
+#include "roadnet/landmark_oracle.h"
 #include "sim/mobility_simulator.h"
 #include "store/columnar_store.h"
 #include "traj/io.h"
@@ -91,8 +95,7 @@ struct CliOptions {
             << "usage: neat_cli --network NET.csv --trajectories TRIPS.csv\n"
             << "                [--columnar] [--mode base|flow|opt] [--epsilon METRES]\n"
             << "                [--min-card N|auto] [--wq X --wk Y --wv Z]\n"
-            << "                [--beta B|inf] [--no-elb] [--landmarks N]\n"
-            << "                [--distance-engine dijkstra|alt|ch]\n"
+            << "                [--beta B|inf] [--no-elb] [--landmarks K]\n"
             << "                [--threads N] [--refine-threads N] [--out PREFIX]\n"
             << "                [--metrics-out FILE] [--trace-out FILE]\n"
             << "                [--profile-out FILE] [--admin-port PORT]\n"
@@ -108,6 +111,15 @@ CliOptions parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage(str_cat("missing value after ", argv[i]));
     return argv[++i];
   };
+  // The next value as an integer in [lo, hi], checked before any narrowing
+  // cast; anything else is a usage error.
+  const auto next_int = [&](int& i, std::int64_t lo, std::int64_t hi) {
+    const std::string flag = argv[i];
+    const std::int64_t v = parse_int(next_value(i));
+    if (v < lo || v > hi) usage(str_cat(flag, " must be in [", lo, ", ", hi, "]"));
+    return v;
+  };
+  constexpr std::int64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     try {
@@ -138,30 +150,13 @@ CliOptions parse_args(int argc, char** argv) {
         const std::string v = next_value(i);
         opt.config.flow.beta =
             (v == "inf") ? std::numeric_limits<double>::infinity() : parse_double(v);
-      } else if (arg == "--threads") {
-        const std::int64_t n = parse_int(next_value(i));
-        if (n < 0) usage("--threads must be >= 0 (0/1 = serial)");
-        opt.config.phase1_threads = static_cast<unsigned>(n);
-      } else if (arg == "--refine-threads") {
-        const std::int64_t n = parse_int(next_value(i));
-        if (n < 0) usage("--refine-threads must be >= 0 (0/1 = serial)");
-        opt.config.refine.threads = static_cast<unsigned>(n);
+      } else if (arg == "--threads") {  // 0/1 = serial
+        opt.config.phase1_threads = static_cast<unsigned>(next_int(i, 0, kMaxUnsigned));
+      } else if (arg == "--refine-threads") {  // 0/1 = serial
+        opt.config.refine.threads = static_cast<unsigned>(next_int(i, 0, kMaxUnsigned));
       } else if (arg == "--landmarks") {
-        const std::int64_t n = parse_int(next_value(i));
-        if (n < 1) usage("--landmarks must be >= 1");
-        opt.config.refine.use_landmarks = true;
-        opt.config.refine.num_landmarks = static_cast<int>(n);
-      } else if (arg == "--distance-engine") {
-        const std::string v = next_value(i);
-        if (v == "dijkstra" || v == "alt") {
-          opt.config.refine.distance_engine = DistanceEngine::kDijkstra;
-          // ALT is the Dijkstra rung with landmark tables steering it.
-          if (v == "alt") opt.config.refine.use_landmarks = true;
-        } else if (v == "ch") {
-          opt.config.refine.distance_engine = DistanceEngine::kCh;
-        } else {
-          usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch)"));
-        }
+        opt.config.refine.landmarks =
+            static_cast<int>(next_int(i, 1, roadnet::LandmarkOracle::kMaxLandmarks));
       } else if (arg == "--metrics-out") {
         opt.metrics_out = next_value(i);
       } else if (arg == "--trace-out") {
@@ -169,9 +164,7 @@ CliOptions parse_args(int argc, char** argv) {
       } else if (arg == "--profile-out") {
         opt.profile_out = next_value(i);
       } else if (arg == "--admin-port") {
-        const std::int64_t p = parse_int(next_value(i));
-        if (p < 0 || p > 65535) usage("--admin-port must be in [0, 65535]");
-        opt.admin_port = static_cast<int>(p);
+        opt.admin_port = static_cast<int>(next_int(i, 0, 65535));
       } else if (arg == "--log-level") {
         const std::string v = next_value(i);
         const auto level = obs::log::parse_level(v);

@@ -28,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -44,6 +45,7 @@
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "roadnet/generators.h"
+#include "roadnet/landmark_oracle.h"
 #include "serve/ingest_service.h"
 #include "serve/query_engine.h"
 #include "sim/mobility_simulator.h"
@@ -60,14 +62,13 @@ struct SimOptions {
   std::string profile_out;   ///< Folded CPU profile file ("" = profiler off).
   std::string log_out;       ///< JSON log lines file ("" = stderr).
   obs::log::Level log_level{obs::log::Level::kInfo};
-  RefineConfig refine;       ///< --distance-engine choice (engine, landmarks).
+  int landmarks{0};          ///< Phase 3 landmark count for ingest (0 = off).
 };
 
 [[noreturn]] void usage(const std::string& error) {
   std::cerr << "error: " << error << "\n\n"
             << "usage: neat_server_sim [--admin-port PORT] [--query-port PORT]\n"
-            << "                       [--linger-s SECONDS]\n"
-            << "                       [--distance-engine dijkstra|alt|ch]\n"
+            << "                       [--linger-s SECONDS] [--landmarks K]\n"
             << "                       [--profile-out FILE]\n"
             << "  --admin-port PORT       serve /metrics, /healthz, /readyz, /statusz\n"
             << "                          and /tracez on 127.0.0.1:PORT (0 = pick a\n"
@@ -78,8 +79,9 @@ struct SimOptions {
             << "                          for no query server)\n"
             << "  --linger-s SECONDS      keep the server up after the simulated\n"
             << "                          workload so it can be scraped (default 0)\n"
-            << "  --distance-engine E     Phase 3 distance backend for ingest\n"
-            << "                          re-clustering (default dijkstra)\n"
+            << "  --landmarks K           landmark (ALT) tables for the ingest\n"
+            << "                          re-clustering's Phase 3, 1-64 (default:\n"
+            << "                          none, plain bounded Dijkstra)\n"
             << "  --profile-out FILE      sample the CPU across the simulated\n"
             << "                          workload and write the folded profile\n"
             << "                          (render: python3 tools/fold2svg.py)\n"
@@ -98,21 +100,24 @@ SimOptions parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage(str_cat("missing value after ", argv[i]));
     return argv[++i];
   };
+  // The next value as an integer in [lo, hi], checked before any narrowing
+  // cast; anything else is a usage error.
+  const auto next_int = [&](int& i, std::int64_t lo, std::int64_t hi) {
+    const std::string flag = argv[i];
+    const std::int64_t v = parse_int(next_value(i));
+    if (v < lo || v > hi) usage(str_cat(flag, " must be in [", lo, ", ", hi, "]"));
+    return v;
+  };
+  constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     try {
       if (arg == "--admin-port") {
-        const std::int64_t p = parse_int(next_value(i));
-        if (p < 0 || p > 65535) usage("--admin-port must be in [0, 65535]");
-        opt.admin_port = static_cast<int>(p);
+        opt.admin_port = static_cast<int>(next_int(i, 0, 65535));
       } else if (arg == "--query-port") {
-        const std::int64_t p = parse_int(next_value(i));
-        if (p < 0 || p > 65535) usage("--query-port must be in [0, 65535]");
-        opt.query_port = static_cast<int>(p);
+        opt.query_port = static_cast<int>(next_int(i, 0, 65535));
       } else if (arg == "--linger-s") {
-        const std::int64_t s = parse_int(next_value(i));
-        if (s < 0) usage("--linger-s must be >= 0");
-        opt.linger_s = static_cast<int>(s);
+        opt.linger_s = static_cast<int>(next_int(i, 0, kMaxInt));
       } else if (arg == "--profile-out") {
         opt.profile_out = next_value(i);
       } else if (arg == "--log-level") {
@@ -126,20 +131,9 @@ SimOptions parse_args(int argc, char** argv) {
       } else if (arg == "--log-out") {
         opt.log_out = next_value(i);
       } else if (arg == "--slow-ms") {
-        const std::int64_t ms = parse_int(next_value(i));
-        if (ms < 0) usage("--slow-ms must be >= 0");
-        opt.slow_ms = static_cast<int>(ms);
-      } else if (arg == "--distance-engine") {
-        const std::string v = next_value(i);
-        if (v == "dijkstra" || v == "alt") {
-          opt.refine.distance_engine = DistanceEngine::kDijkstra;
-          // ALT is the Dijkstra rung with landmark tables steering it.
-          if (v == "alt") opt.refine.use_landmarks = true;
-        } else if (v == "ch") {
-          opt.refine.distance_engine = DistanceEngine::kCh;
-        } else {
-          usage(str_cat("unknown distance engine '", v, "' (dijkstra|alt|ch)"));
-        }
+        opt.slow_ms = static_cast<int>(next_int(i, 0, kMaxInt));
+      } else if (arg == "--landmarks") {
+        opt.landmarks = static_cast<int>(next_int(i, 1, roadnet::LandmarkOracle::kMaxLandmarks));
       } else {
         usage(str_cat("unknown argument '", arg, "'"));
       }
@@ -175,7 +169,7 @@ int main(int argc, char** argv) {
   // ingest families share the global registry with the pipeline's own
   // neat_core_* metrics, so one /metrics scrape sees the whole process.
   Config cfg;
-  cfg.refine = opt.refine;
+  cfg.refine.landmarks = opt.landmarks;
   cfg.refine.epsilon = 2000.0;
   cfg.phase1_threads = 2;
   serve::SnapshotStore store;

@@ -53,15 +53,20 @@ class ChunkCursor {
   std::atomic<std::size_t> next_{0};
 };
 
-/// Workers parallel_for(n, threads, ...) runs: `threads`, but no more than
-/// there are indices, and at least one.
-[[nodiscard]] inline unsigned parallel_workers(std::size_t n, unsigned threads) {
-  return static_cast<unsigned>(std::clamp<std::size_t>(n, 1, std::max(1u, threads)));
+/// Workers parallel_for(n, threads, chunk, ...) runs: `threads`, but no
+/// more than there are chunks of `chunk` indices in [0, n) (a worker that
+/// could claim nothing is never started), and at least one. `chunk` values
+/// of 0 are treated as 1, as in ChunkCursor.
+[[nodiscard]] inline unsigned parallel_workers(std::size_t n, unsigned threads,
+                                               std::size_t chunk) {
+  const std::size_t size = std::max<std::size_t>(1, chunk);
+  const std::size_t chunks = n / size + (n % size != 0 ? 1 : 0);
+  return static_cast<unsigned>(std::clamp<std::size_t>(chunks, 1, std::max(1u, threads)));
 }
 
 /// Calls `worker(w, cursor)` once for every w in [0, parallel_workers(n,
-/// threads)); the workers share one ChunkCursor over [0, n) in chunks of
-/// `chunk` indices. With one worker it runs inline on the calling thread;
+/// threads, chunk)); the workers share one ChunkCursor over [0, n) in chunks
+/// of `chunk` indices. With one worker it runs inline on the calling thread;
 /// otherwise every worker gets its own thread. Does nothing when n is 0.
 ///
 /// All threads are joined before parallel_for returns or throws. A worker
@@ -72,7 +77,7 @@ template <typename Worker>
 void parallel_for(std::size_t n, unsigned threads, std::size_t chunk, const Worker& worker) {
   if (n == 0) return;
   ChunkCursor cursor(n, chunk);
-  const unsigned workers = parallel_workers(n, threads);
+  const unsigned workers = parallel_workers(n, threads, chunk);
   if (workers == 1) {
     worker(0u, cursor);
     return;

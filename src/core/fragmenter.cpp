@@ -254,7 +254,7 @@ Phase1Output build_phase1(const RoadNetwork& net, std::size_t total, unsigned n_
   const std::size_t batch_capacity = std::min(total, Fragmenter::kBatchSize);
   std::vector<TrajectoryId> ids(batch_capacity);
   std::vector<std::vector<SegmentId>> segments(batch_capacity);  // fragment sids per trajectory
-  std::vector<std::size_t> gap_repairs(parallel_workers(batch_capacity, n_threads), 0);
+  std::vector<std::size_t> gap_repairs(parallel_workers(batch_capacity, n_threads, 1), 0);
   std::size_t batches = 0;
   for (std::size_t begin = 0; begin < total; begin += Fragmenter::kBatchSize, ++batches) {
     const std::size_t count = std::min(Fragmenter::kBatchSize, total - begin);
@@ -301,13 +301,10 @@ Phase1Output build_phase1(const RoadNetwork& net, std::size_t total, unsigned n_
 
   {
     // Each cluster sorts and deduplicates its own participants, so the
-    // clusters finalize across the workers, no more workers than chunks;
-    // the density order follows.
+    // clusters finalize across the workers; the density order follows.
     obs::ScopedSpan finalize_span("phase1.finalize");
     finalize_span.arg("base_clusters", static_cast<std::uint64_t>(clusters.size()));
-    const std::size_t chunks = (clusters.size() + kFinalizeChunk - 1) / kFinalizeChunk;
-    const auto threads = static_cast<unsigned>(std::min<std::size_t>(n_threads, chunks));
-    parallel_for(clusters.size(), threads, kFinalizeChunk, [&](unsigned, ChunkCursor& cursor) {
+    parallel_for(clusters.size(), n_threads, kFinalizeChunk, [&](unsigned, ChunkCursor& cursor) {
       while (const std::optional<IndexRange> chunk = cursor.next()) {
         for (std::size_t i = chunk->begin; i < chunk->end; ++i) clusters[i].finalize();
       }
@@ -322,7 +319,7 @@ Phase1Output build_phase1(const RoadNetwork& net, std::size_t total, unsigned n_
   span.arg("fragments", static_cast<std::uint64_t>(out.num_fragments));
   span.arg("gap_repairs", static_cast<std::uint64_t>(out.num_gap_repairs));
   span.arg("batches", static_cast<std::uint64_t>(batches));
-  span.arg("threads", static_cast<std::uint64_t>(parallel_workers(batch_capacity, n_threads)));
+  span.arg("threads", static_cast<std::uint64_t>(parallel_workers(batch_capacity, n_threads, 1)));
   return out;
 }
 

@@ -24,8 +24,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Adds one Phase-3 run's work counters to the global metric registry —
 /// one bulk update so the per-pair hot loop never touches shared atomics.
-void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs,
-                        bool landmarks_enabled) {
+void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs) {
   obs::Registry& reg = obs::Registry::global();
   reg.set_help("neat_core_pairs_total", "Flow pairs Phase 3 considered, n(n-1)/2 per run.");
   reg.set_help("neat_core_pairs_evaluated_total",
@@ -37,23 +36,12 @@ void add_phase3_metrics(const Phase3Output& counters, std::size_t total_pairs,
   reg.set_help("neat_core_sp_computations_total", "Shortest-path searches Phase 3 issued.");
   reg.set_help("neat_core_sp_settled_nodes_total",
                "Nodes settled across Phase 3 shortest-path searches (a work proxy).");
-  reg.set_help("neat_core_lm_bound_checks_total",
-               "Flow pairs that reached the landmark-bound test (ELB survivors).");
-  reg.set_help("neat_core_lm_bound_hits_total",
-               "Flow pairs the landmark-bound test eliminated.");
   reg.counter("neat_core_pairs_total").add(total_pairs);
   reg.counter("neat_core_pairs_evaluated_total").add(counters.pairs_evaluated);
   reg.counter("neat_core_elb_pruned_pairs_total").add(counters.elb_pruned_pairs);
   reg.counter("neat_core_lm_pruned_pairs_total").add(counters.lm_pruned_pairs);
   reg.counter("neat_core_sp_computations_total").add(counters.sp_computations);
   reg.counter("neat_core_sp_settled_nodes_total").add(counters.settled_nodes);
-  if (landmarks_enabled) {
-    // Landmark-bound hit rate: checks are the pairs that survived ELB and
-    // reached the triangle-inequality test, hits the pairs it eliminated.
-    reg.counter("neat_core_lm_bound_checks_total")
-        .add(total_pairs - counters.elb_pruned_pairs);
-    reg.counter("neat_core_lm_bound_hits_total").add(counters.lm_pruned_pairs);
-  }
 }
 
 /// Sums the work counters of `from` into `into` (clusters untouched).
@@ -107,8 +95,10 @@ Refiner::Refiner(const roadnet::RoadNetwork& net, RefineConfig config)
     : net_(net), config_(config) {
   NEAT_EXPECT(config_.epsilon > 0.0, "RefineConfig: epsilon must be positive");
   NEAT_EXPECT(config_.min_pts >= 1, "RefineConfig: min_pts must be at least 1");
-  NEAT_EXPECT(!config_.use_landmarks || config_.num_landmarks >= 1,
-              "RefineConfig: num_landmarks must be at least 1 when landmarks are enabled");
+  NEAT_EXPECT(config_.landmarks >= 0 &&
+                  config_.landmarks <= roadnet::LandmarkOracle::kMaxLandmarks,
+              str_cat("RefineConfig: landmarks must be in [0, ",
+                      roadnet::LandmarkOracle::kMaxLandmarks, "]"));
 }
 
 void Refiner::set_landmarks(std::shared_ptr<const roadnet::LandmarkOracle> landmarks) {
@@ -117,39 +107,16 @@ void Refiner::set_landmarks(std::shared_ptr<const roadnet::LandmarkOracle> landm
 }
 
 const roadnet::LandmarkOracle* Refiner::landmark_oracle() const {
-  if (!config_.use_landmarks) return nullptr;
+  if (config_.landmarks == 0) return nullptr;
   const std::lock_guard<std::mutex> lock(accel_mu_);
   if (!landmarks_) {
-    landmarks_ =
-        std::make_shared<const roadnet::LandmarkOracle>(net_, config_.num_landmarks);
+    landmarks_ = std::make_shared<const roadnet::LandmarkOracle>(net_, config_.landmarks);
   }
   return landmarks_.get();
 }
 
-void Refiner::set_ch_engine(std::shared_ptr<const roadnet::ChEngine> ch) {
-  if (ch) {
-    NEAT_EXPECT(&ch->network() == &net_,
-                "Refiner: needs a ChEngine over the same network");
-  }
-  const std::lock_guard<std::mutex> lock(accel_mu_);
-  ch_ = std::move(ch);
-}
-
-const roadnet::ChEngine* Refiner::ch_engine() const {
-  if (config_.distance_engine != DistanceEngine::kCh) return nullptr;
-  const std::lock_guard<std::mutex> lock(accel_mu_);
-  if (!ch_) {
-    // Undirected, metres — the same metric NodeDistanceOracle answers in.
-    ch_ = std::make_shared<const roadnet::ChEngine>(net_);
-  }
-  return ch_.get();
-}
-
 Refiner::DistanceContext Refiner::make_context() const {
-  DistanceContext ctx{roadnet::NodeDistanceOracle(net_)};
-  ctx.landmarks = landmark_oracle();
-  if (const roadnet::ChEngine* ch = ch_engine()) ctx.ch.emplace(*ch);
-  return ctx;
+  return {roadnet::NodeDistanceOracle(net_), landmark_oracle()};
 }
 
 double Refiner::min_euclidean_endpoint_distance(const FlowCluster& a,
@@ -182,13 +149,8 @@ double Refiner::network_hausdorff(const FlowCluster& a, const FlowCluster& b,
   std::array<double, 2> row1{};
   std::array<double, 2> row2{};
   // One batched search per endpoint of `a` settles both endpoints of `b`:
-  // two searches per pair instead of four. Every engine returns the same
-  // distances; only the settled work differs.
-  if (ctx.ch) {
-    ctx.ch->distances(a.start_junction(), b_ends, row1, bound);
-  } else {
-    ctx.oracle.distances(a.start_junction(), b_ends, row1, bound, ctx.landmarks);
-  }
+  // two searches per pair instead of four.
+  ctx.oracle.distances(a.start_junction(), b_ends, row1, bound, ctx.landmarks);
   if (config_.bound_searches_at_epsilon &&
       std::min(row1[0], row1[1]) > config_.epsilon) {
     // Formula 5's forward term is already > ε, so the pair cannot merge;
@@ -196,11 +158,7 @@ double Refiner::network_hausdorff(const FlowCluster& a, const FlowCluster& b,
     // the second search.
     return kInf;
   }
-  if (ctx.ch) {
-    ctx.ch->distances(a.end_junction(), b_ends, row2, bound);
-  } else {
-    ctx.oracle.distances(a.end_junction(), b_ends, row2, bound, ctx.landmarks);
-  }
+  ctx.oracle.distances(a.end_junction(), b_ends, row2, bound, ctx.landmarks);
   return hausdorff_from_parts(row1[0], row1[1], row2[0], row2[1]);
 }
 
@@ -227,9 +185,8 @@ double Refiner::network_route_hausdorff(const FlowCluster& a, const FlowCluster&
     double worst = 0.0;
     for (const NodeId u : from) {
       // One multi-target query: min_v d_N(u, v) over the other route's
-      // junctions (the oracle settles the first target; CH buckets them).
-      worst = std::max(worst, ctx.ch ? ctx.ch->distance_to_any(u, to, bound)
-                                     : ctx.oracle.distance_to_any(u, to, bound, ctx.landmarks));
+      // junctions (the search stops at the first target it settles).
+      worst = std::max(worst, ctx.oracle.distance_to_any(u, to, bound, ctx.landmarks));
       if (worst > config_.epsilon) break;  // the max can only grow
     }
     return worst;
@@ -317,15 +274,13 @@ std::vector<Refiner::FlowPair> Refiner::elb_survivors(
       }
     }
   };
-  // The per-flow probes run across the workers, no more workers than
-  // chunks. Each fixed chunk of flows keeps its survivors in its own slot,
-  // and the slots are joined in chunk order, so the list is the same at any
-  // thread count.
+  // The per-flow probes run across the workers. Each fixed chunk of flows
+  // keeps its survivors in its own slot, and the slots are joined in chunk
+  // order, so the list is the same at any thread count.
   constexpr std::size_t kFlowChunk = 128;
   const std::size_t chunks = (flows.size() + kFlowChunk - 1) / kFlowChunk;
-  const auto threads = static_cast<unsigned>(std::min<std::size_t>(config_.threads, chunks));
   std::vector<std::vector<FlowPair>> chunk_survivors(chunks);
-  parallel_for(flows.size(), threads, kFlowChunk, [&](unsigned, ChunkCursor& cursor) {
+  parallel_for(flows.size(), config_.threads, kFlowChunk, [&](unsigned, ChunkCursor& cursor) {
     std::vector<std::uint32_t> near;
     while (const std::optional<IndexRange> chunk = cursor.next()) {
       std::vector<FlowPair>& out = chunk_survivors[chunk->begin / kFlowChunk];
@@ -355,8 +310,8 @@ void Refiner::evaluate_pairs(const std::vector<FlowCluster>& flows,
                              std::span<const FlowPair> pairs, DistanceContext& ctx,
                              std::span<double> dist, Phase3Output& counters) const {
   const bool endpoints = config_.distance_mode == FlowDistanceMode::kEndpoints;
-  const std::size_t before = ctx.computations();
-  const std::size_t before_settled = ctx.settled_nodes();
+  const std::size_t before = ctx.oracle.computations();
+  const std::size_t before_settled = ctx.oracle.settled_nodes();
   for (std::size_t k = 0; k < pairs.size(); ++k) {
     const FlowCluster& a = flows[pairs[k].i];
     const FlowCluster& b = flows[pairs[k].j];
@@ -372,8 +327,8 @@ void Refiner::evaluate_pairs(const std::vector<FlowCluster>& flows,
     ++counters.pairs_evaluated;
     dist[k] = endpoints ? network_hausdorff(a, b, ctx) : network_route_hausdorff(a, b, ctx);
   }
-  counters.sp_computations += ctx.computations() - before;
-  counters.settled_nodes += ctx.settled_nodes() - before_settled;
+  counters.sp_computations += ctx.oracle.computations() - before;
+  counters.settled_nodes += ctx.oracle.settled_nodes() - before_settled;
 }
 
 void Refiner::fill_pair_distances(const std::vector<FlowCluster>& flows, std::size_t begin,
@@ -545,18 +500,18 @@ Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
   const std::size_t candidates = config_.use_elb ? survivors.size() : total_pairs;
 
   // Step 2: workers claim kPairChunk candidates at a time, each with its own
-  // context and counters, and keep the pairs within ε.
-  const unsigned workers = parallel_workers(candidates, config_.threads);
+  // context and counters, and keep the pairs within ε. No worker starts
+  // without a chunk to claim.
+  const unsigned workers = parallel_workers(candidates, config_.threads, kPairChunk);
   std::vector<Phase3Output> worker_counters(workers);
   std::vector<std::vector<FlowPair>> worker_close(workers);
   Phase3Output counters;
   {
     obs::ScopedSpan pairs_span("phase3.pair_distances");
     if (candidates > 0) {
-      // Build the shared accelerators before the workers start; workers
-      // only read them.
+      // Build the landmark tables before the workers start; workers only
+      // read them.
       static_cast<void>(landmark_oracle());
-      static_cast<void>(ch_engine());
     }
     const auto worker = [&](unsigned w, ChunkCursor& cursor) {
       if (workers > 1) obs::Tracer::global().set_thread_name(str_cat("refine-worker-", w));
@@ -599,7 +554,7 @@ Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
     };
     parallel_for(candidates, config_.threads, kPairChunk, worker);
     // The counters are sums, so the totals do not depend on which worker
-    // took which chunk (settled_nodes under kCh aside).
+    // took which chunk.
     for (const Phase3Output& c : worker_counters) add_counters(counters, c);
     counters.elb_pruned_pairs = total_pairs - candidates;
     pairs_span.arg("pairs", static_cast<std::uint64_t>(total_pairs));
@@ -617,7 +572,7 @@ Phase3Output Refiner::refine(const std::vector<FlowCluster>& flows) const {
   for (const std::vector<FlowPair>& c : worker_close) close.insert(close.end(), c.begin(), c.end());
   Phase3Output out = cluster_close_pairs(flows, close);
   add_counters(out, counters);
-  add_phase3_metrics(counters, total_pairs, config_.use_landmarks);
+  add_phase3_metrics(counters, total_pairs);
   obs::Registry& reg = obs::Registry::global();
   reg.set_help("neat_core_final_clusters_total", "Final clusters Phase 3 formed.");
   reg.counter("neat_core_final_clusters_total").add(out.clusters.size());

@@ -18,10 +18,10 @@
 //    steer the surviving searches as A* potentials.
 // Neither prune ever changes a merge decision, only the work performed.
 //
-// Pairs that survive pruning are evaluated one at a time on one of three
-// rungs of the distance ladder: Dijkstra, ALT (the same Dijkstra steered by
-// the landmark tables) or Contraction Hierarchies. Every rung returns the
-// same distances, so clusters are bit-identical across engines.
+// Pairs that survive pruning are evaluated one at a time by bounded
+// Dijkstra, which the landmark tables, when on, steer as A* (the ALT rung).
+// Both rungs return the same distances, so the clusters do not depend on
+// the landmark count.
 //
 // refine() never visits all n(n-1)/2 pairs. With ELB on, a uniform grid of
 // ε-wide cells over the points the ELB key measures yields the candidate
@@ -38,12 +38,10 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/flow_cluster.h"
-#include "roadnet/ch_engine.h"
 #include "roadnet/road_network.h"
 #include "roadnet/shortest_path.h"
 
@@ -61,35 +59,18 @@ enum class FlowDistanceMode {
   kFullRoute,
 };
 
-/// Which engine answers the shortest-path queries that survive pruning.
-/// Every rung returns identical distances — the ladder only trades
-/// preprocessing for per-query work, never merge decisions.
-enum class DistanceEngine {
-  /// Bounded Dijkstra (NodeDistanceOracle), no preprocessing; with
-  /// RefineConfig::use_landmarks the searches run as ALT-steered A*.
-  kDijkstra,
-  /// Contraction Hierarchies: one-time node-contraction preprocessing, then
-  /// bidirectional upward searches that settle orders of magnitude fewer
-  /// nodes per query (roadnet::ChEngine).
-  kCh,
-};
-
 /// Parameters of Phase 3.
 struct RefineConfig {
   double epsilon{3000.0};  ///< DBSCAN ε in metres of network distance.
   FlowDistanceMode distance_mode{FlowDistanceMode::kEndpoints};
   bool use_elb{true};      ///< Euclidean-lower-bound pruning on/off.
-  /// Landmark (ALT) acceleration: a second admissible prune from
+  /// Landmark (ALT) acceleration, by landmark count; 0 = off, at most
+  /// roadnet::LandmarkOracle::kMaxLandmarks. A second admissible prune from
   /// triangle-inequality bounds over precomputed landmark tables, plus A*
   /// potentials for the searches that survive pruning. Merge decisions are
-  /// unchanged; only the Dijkstra work shrinks. Costs num_landmarks + 1 full
+  /// unchanged; only the Dijkstra work shrinks. Costs landmarks + 1 full
   /// Dijkstra runs to build (lazily, on first refine()).
-  bool use_landmarks{false};
-  int num_landmarks{8};    ///< Landmark count when use_landmarks is set.
-  /// Shortest-path engine for the queries pruning cannot skip. kCh builds a
-  /// roadnet::ChEngine lazily on first refine() (or accepts a shared one
-  /// via Refiner::set_ch_engine).
-  DistanceEngine distance_engine{DistanceEngine::kDijkstra};
+  int landmarks{0};
   /// Stop each Dijkstra once the search frontier passes ε. Every clustering
   /// decision is identical (DBSCAN only asks whether d <= ε; a leg that
   /// bounds out is > ε, and Formula 5's max/min structure preserves the
@@ -136,19 +117,18 @@ struct Phase3Output {
 class Refiner {
  public:
   /// Keeps a reference to the network; do not outlive it. Throws
-  /// neat::PreconditionError on non-positive ε, minPts < 1 or
-  /// num_landmarks < 1 (with use_landmarks). Construction is cheap; the
-  /// landmark tables are built lazily on first use.
+  /// neat::PreconditionError on non-positive ε, minPts < 1 or a landmark
+  /// count outside [0, roadnet::LandmarkOracle::kMaxLandmarks].
+  /// Construction is cheap; the landmark tables are built lazily on first
+  /// use.
   Refiner(const roadnet::RoadNetwork& net, RefineConfig config);
 
   /// Runs the refinement over the given flows (fewer than 2^32), evaluating
-  /// the candidate pairs across config().threads workers (landmark tables
-  /// and the hierarchy are built first; workers only read them). Time and
-  /// memory are O(n + candidate pairs); the n(n-1)/2 pairs are never
-  /// enumerated unless ELB is off. Deterministic:
-  /// clusters and counters are identical at any thread count, except
-  /// settled_nodes under kCh, where each worker memoizes hub labels and the
-  /// total depends on how chunks land on workers.
+  /// the candidate pairs across config().threads workers (the landmark
+  /// tables are built first; workers only read them). Time and memory are
+  /// O(n + candidate pairs); the n(n-1)/2 pairs are never enumerated unless
+  /// ELB is off. Deterministic: clusters and every counter are identical at
+  /// any thread count.
   [[nodiscard]] Phase3Output refine(const std::vector<FlowCluster>& flows) const;
 
   /// Network (modified Hausdorff) distance between two flow clusters under
@@ -174,22 +154,13 @@ class Refiner {
 
   // --- building blocks of refine(), exposed for benches and tools ----------
 
-  /// Per-thread distance-evaluation workspace: a Dijkstra/ALT oracle plus,
-  /// under DistanceEngine::kCh, a query head bound to the shared hierarchy.
+  /// Per-thread distance-evaluation workspace: a Dijkstra/ALT oracle.
   /// Obtain via make_context(); not thread safe, create one per thread.
   struct DistanceContext {
     roadnet::NodeDistanceOracle oracle;
-    std::optional<roadnet::ChEngine::Query> ch{};
     /// The refiner's landmark oracle (nullptr when landmarks are off),
     /// resolved once so the per-pair work never takes the refiner's lock.
     const roadnet::LandmarkOracle* landmarks{nullptr};
-
-    [[nodiscard]] std::size_t computations() const {
-      return oracle.computations() + (ch ? ch->computations() : 0);
-    }
-    [[nodiscard]] std::size_t settled_nodes() const {
-      return oracle.settled_nodes() + (ch ? ch->settled_nodes() : 0);
-    }
   };
 
   /// Candidate pairs per chunk claimed by refine()'s workers, and ELB
@@ -200,9 +171,8 @@ class Refiner {
   /// of the candidate list.
   static constexpr std::size_t kPairChunk = 64;
 
-  /// Builds a workspace for the configured engine. Under kCh this triggers
-  /// the (thread-safe, once-only) lazy hierarchy build, and with landmarks
-  /// on it resolves the landmark oracle (building it on first use).
+  /// Builds a workspace. With landmarks on it resolves the landmark oracle
+  /// (building it on first use; thread safe).
   [[nodiscard]] DistanceContext make_context() const;
 
   /// The dense reference evaluator: writes the distance of every
@@ -231,15 +201,6 @@ class Refiner {
   /// The landmark oracle used by this refiner: nullptr when disabled,
   /// otherwise the seeded or lazily built instance. Thread safe.
   [[nodiscard]] const roadnet::LandmarkOracle* landmark_oracle() const;
-
-  /// Pre-seeds the contraction hierarchy (e.g. to amortize one build across
-  /// refiners or batches). Ignored unless distance_engine is kCh; the
-  /// engine must be built over the same network.
-  void set_ch_engine(std::shared_ptr<const roadnet::ChEngine> ch);
-
-  /// The hierarchy used by this refiner: nullptr unless distance_engine is
-  /// kCh, otherwise the seeded or lazily built instance. Thread safe.
-  [[nodiscard]] const roadnet::ChEngine* ch_engine() const;
 
   [[nodiscard]] const RefineConfig& config() const { return config_; }
   [[nodiscard]] const roadnet::RoadNetwork& network() const { return net_; }
@@ -275,9 +236,8 @@ class Refiner {
 
   const roadnet::RoadNetwork& net_;
   RefineConfig config_;
-  mutable std::mutex accel_mu_;  ///< Guards the lazily built accelerators.
+  mutable std::mutex accel_mu_;  ///< Guards the lazily built landmark oracle.
   mutable std::shared_ptr<const roadnet::LandmarkOracle> landmarks_;
-  mutable std::shared_ptr<const roadnet::ChEngine> ch_;
 };
 
 }  // namespace neat

@@ -528,14 +528,4 @@ double ChEngine::Query::distance(NodeId s, NodeId t, double bound) {
   return out;
 }
 
-double ChEngine::Query::distance_to_any(NodeId s, std::span<const NodeId> targets,
-                                        double bound) {
-  if (targets.empty()) return kInfDistance;
-  any_scratch_.assign(targets.size(), kInfDistance);
-  distances(s, targets, any_scratch_, bound);
-  double best = kInfDistance;
-  for (const double d : any_scratch_) best = std::min(best, d);
-  return best;
-}
-
 }  // namespace neat::roadnet

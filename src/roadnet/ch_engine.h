@@ -22,10 +22,11 @@
 // arc). Labels are built out to the requested bound — within it every
 // reachable meet hub is retained exactly, beyond it the query answers
 // kInfDistance by contract, so the truncation is invisible — and rebuilt
-// only if a later query asks for a larger bound. The Phase 3 refiner issues
-// O(flows^2) pair queries over O(flows) distinct endpoints at one fixed ε
-// bound; after the first touch of an endpoint, every further pair distance
-// is a sorted-label merge that settles no nodes at all.
+// only if a later query asks for a larger bound. A workload that asks many
+// pairs over few distinct endpoints at one fixed bound pays one upward
+// search per endpoint; after its first touch, every further pair distance
+// is a sorted-label merge that settles no nodes at all. The bucket-based
+// many-to-many fill behind /v1/table (CHTableEngine) builds the same labels.
 //
 // Exactness: answers are not read off the bidirectional meet value. The
 // engine unpacks the winning up-down path into its original arcs and re-sums
@@ -133,8 +134,9 @@ class ChEngine {
 
   /// Per-thread query workspace over a shared engine. Mirrors the
   /// NodeDistanceOracle interface (bounded queries, batch one-to-many,
-  /// computation/settled counters) so the refiner can swap engines without
-  /// changing its merge logic. Not thread safe; create one per thread.
+  /// computation/settled counters), so the two answer the same queries
+  /// side by side in tests and benches. Not thread safe; create one per
+  /// thread.
   class Query {
    public:
     explicit Query(const ChEngine& engine);
@@ -142,10 +144,6 @@ class ChEngine {
     /// Undirected network distance from `s` to `t` in metres, or
     /// kInfDistance when unreachable or beyond `bound`.
     [[nodiscard]] double distance(NodeId s, NodeId t, double bound = kInfDistance);
-
-    /// Distance from `s` to the closest of `targets` (min over targets).
-    [[nodiscard]] double distance_to_any(NodeId s, std::span<const NodeId> targets,
-                                         double bound = kInfDistance);
 
     /// One-to-many batch: merges the source's cached label against each
     /// target's. `out.size()` must equal `targets.size()`. Counts as one
@@ -169,7 +167,6 @@ class ChEngine {
     LabelBuilder builder_;
     LabelCache cache_;
     std::vector<std::int32_t> leaves_scratch_;
-    std::vector<double> any_scratch_;
     std::size_t computations_{0};
     std::size_t settled_{0};
   };

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "obs/log/log.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -62,8 +63,9 @@ NodeId farthest_node(std::span<const double> dist, std::span<const char> used) {
 
 }  // namespace
 
-LandmarkOracle::LandmarkOracle(const RoadNetwork& net, int num_landmarks) : net_(net) {
-  NEAT_EXPECT(num_landmarks >= 1, "LandmarkOracle: num_landmarks must be at least 1");
+LandmarkOracle::LandmarkOracle(const RoadNetwork& net, int count) : net_(net) {
+  NEAT_EXPECT(count >= 1 && count <= kMaxLandmarks,
+              str_cat("LandmarkOracle: landmark count must be in [1, ", kMaxLandmarks, "]"));
   NEAT_EXPECT(net.node_count() > 0, "LandmarkOracle: network has no junctions");
   obs::ScopedSpan span("landmark.build");
   const Stopwatch watch;
@@ -79,7 +81,7 @@ LandmarkOracle::LandmarkOracle(const RoadNetwork& net, int num_landmarks) : net_
   NodeId first = farthest_node(probe, used);
   if (!first.valid()) first = NodeId(0);  // isolated node 0: it is the landmark
 
-  const std::size_t want = std::min<std::size_t>(static_cast<std::size_t>(num_landmarks), n);
+  const std::size_t want = std::min<std::size_t>(static_cast<std::size_t>(count), n);
   landmarks_.reserve(want);
   dist_.reserve(want * n);
   // min over chosen landmarks of the distance to each node — the

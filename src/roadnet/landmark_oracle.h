@@ -33,13 +33,17 @@ namespace neat::roadnet {
 /// Precomputed landmark distance tables over one road network.
 class LandmarkOracle {
  public:
-  /// Selects min(num_landmarks, reachable junctions) landmarks and runs one
-  /// full undirected Dijkstra per landmark. Keeps a reference to the
-  /// network; do not outlive it. Throws neat::PreconditionError when
-  /// `num_landmarks` < 1 or the network has no junctions.
-  explicit LandmarkOracle(const RoadNetwork& net, int num_landmarks = kDefaultLandmarks);
+  /// Selects min(count, reachable junctions) landmarks and runs one full
+  /// undirected Dijkstra per landmark. Keeps a reference to the network; do
+  /// not outlive it. Throws neat::PreconditionError when `count` is outside
+  /// [1, kMaxLandmarks] or the network has no junctions.
+  explicit LandmarkOracle(const RoadNetwork& net, int count = kDefaultLandmarks);
 
   static constexpr int kDefaultLandmarks = 8;
+  /// The most landmarks one oracle builds. Each costs a full Dijkstra and a
+  /// row of node_count doubles (8·|V| bytes), while the bound gains less
+  /// with every landmark added.
+  static constexpr int kMaxLandmarks = 64;
 
   /// Lower bound on the undirected network distance d_N(s, t): the best
   /// triangle-inequality bound over all landmarks. Returns kInfDistance when

@@ -197,7 +197,7 @@ ColumnarTrajectoryStore::ColumnarTrajectoryStore(const std::string& path) : path
     std::stable_sort(largest_first.begin(), largest_first.end(),
                      [&](std::size_t a, std::size_t b) { return sections[a][1] > sections[b][1]; });
     const unsigned threads = std::min(7u, std::max(1u, std::thread::hardware_concurrency()));
-    const unsigned workers = parallel_workers(sections.size(), threads);
+    const unsigned workers = parallel_workers(sections.size(), threads, 1);
     std::array<std::uint64_t, 7> digests{};
     parallel_for(sections.size(), threads, 1, [&](unsigned, ChunkCursor& cursor) {
       std::vector<char> buf(kVerifyBufferBytes / workers);

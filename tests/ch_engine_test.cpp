@@ -3,8 +3,7 @@
 // variants), CH distances must equal NodeDistanceOracle exactly —
 // unreachable pairs, bounded early-exit and the bucket one-to-many batch
 // included. A concurrency section shares one engine across threads (TSan
-// coverage), and a ladder section checks that every DistanceEngine rung
-// produces bit-identical Phase 3 clusters.
+// coverage).
 #include "roadnet/ch_engine.h"
 
 #include <gtest/gtest.h>
@@ -14,12 +13,9 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/clusterer.h"
-#include "core/refiner.h"
 #include "roadnet/builder.h"
 #include "roadnet/generators.h"
 #include "roadnet/shortest_path.h"
-#include "sim/mobility_simulator.h"
 
 namespace neat::roadnet {
 namespace {
@@ -134,23 +130,6 @@ TEST(ChEngine, ManyToManyMatchesRepeatedSinglePairs) {
   }
 }
 
-TEST(ChEngine, DistanceToAnyMatchesOracle) {
-  const RoadNetwork net = make_grid(9, 9, 120.0);
-  const ChEngine ch(net);
-  ChEngine::Query query(ch);
-  NodeDistanceOracle oracle(net);
-  Rng rng(9);
-  for (int i = 0; i < 50; ++i) {
-    const NodeId s = random_node(rng, net);
-    std::vector<NodeId> targets;
-    for (int k = 0; k < 5; ++k) targets.push_back(random_node(rng, net));
-    EXPECT_DOUBLE_EQ(query.distance_to_any(s, targets),
-                     oracle.distance_to_any(s, targets));
-    EXPECT_DOUBLE_EQ(query.distance_to_any(s, targets, 400.0),
-                     oracle.distance_to_any(s, targets, 400.0));
-  }
-}
-
 TEST(ChEngine, SettlesFarFewerNodesThanDijkstra) {
   const RoadNetwork net = make_grid(30, 30, 100.0);
   const ChEngine ch(net);
@@ -205,97 +184,6 @@ TEST(ChEngineConcurrency, SharedEngineAnswersFromManyThreads) {
       EXPECT_DOUBLE_EQ(got[w][i], expected[w][i]) << "thread " << w << " query " << i;
     }
   }
-}
-
-// --- distance ladder: every engine yields bit-identical clusters -----------
-
-std::vector<FlowCluster> make_flows(const RoadNetwork& net, int trajectories,
-                                    std::uint64_t seed) {
-  const sim::SimConfig scfg = sim::default_config(net, 3, 3);
-  const traj::TrajectoryDataset data =
-      sim::MobilitySimulator(net, scfg).generate(trajectories, seed);
-  Config cfg;
-  cfg.mode = Mode::kFlow;
-  cfg.flow.min_card = 1.0;
-  return NeatClusterer(net, cfg).run(data).flow_clusters;
-}
-
-TEST(ChEngineLadder, EveryEngineProducesIdenticalClusters) {
-  CityParams p;
-  p.rows = 10;
-  p.cols = 10;
-  p.seed = 11;
-  const RoadNetwork net = make_city(p);
-  const std::vector<FlowCluster> flows = make_flows(net, 60, 12);
-  ASSERT_GT(flows.size(), 3u);
-
-  RefineConfig base;
-  base.epsilon = 500.0;
-  const Phase3Output reference = Refiner(net, base).refine(flows);
-
-  // Dijkstra, Dijkstra with landmarks (the ALT rung), CH.
-  struct Rung {
-    DistanceEngine engine;
-    bool landmarks;
-  };
-  for (const Rung rung : {Rung{DistanceEngine::kDijkstra, false},
-                          Rung{DistanceEngine::kDijkstra, true},
-                          Rung{DistanceEngine::kCh, false}}) {
-    const DistanceEngine engine = rung.engine;
-    RefineConfig cfg = base;
-    cfg.distance_engine = engine;
-    cfg.use_landmarks = rung.landmarks;
-    const Phase3Output serial = Refiner(net, cfg).refine(flows);
-    ASSERT_EQ(serial.clusters.size(), reference.clusters.size());
-    for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
-      EXPECT_EQ(serial.clusters[i].flows, reference.clusters[i].flows)
-          << "engine " << static_cast<int>(engine) << " cluster " << i;
-    }
-    // Pruning counters may differ between rungs (ALT prunes more pairs);
-    // within one rung, the parallel refiner must reproduce the serial run's
-    // clusters and pruning counters exactly. settled_nodes is only exact for
-    // the per-pair-independent engines: each CH worker memoizes hub labels in
-    // its own Query, so the settled total depends on which worker the dynamic
-    // chunk scheduler hands each pair to.
-    for (const unsigned threads : {2u, 8u}) {
-      RefineConfig pcfg = cfg;
-      pcfg.threads = threads;
-      const Phase3Output parallel = Refiner(net, pcfg).refine(flows);
-      ASSERT_EQ(parallel.clusters.size(), serial.clusters.size());
-      for (std::size_t i = 0; i < serial.clusters.size(); ++i) {
-        EXPECT_EQ(parallel.clusters[i].flows, serial.clusters[i].flows);
-      }
-      EXPECT_EQ(parallel.sp_computations, serial.sp_computations);
-      EXPECT_EQ(parallel.pairs_evaluated, serial.pairs_evaluated);
-      EXPECT_EQ(parallel.elb_pruned_pairs, serial.elb_pruned_pairs);
-      EXPECT_EQ(parallel.lm_pruned_pairs, serial.lm_pruned_pairs);
-      if (engine == DistanceEngine::kCh) {
-        EXPECT_GT(parallel.settled_nodes, 0u);
-      } else {
-        EXPECT_EQ(parallel.settled_nodes, serial.settled_nodes);
-      }
-    }
-  }
-}
-
-TEST(ChEngineLadder, SharedEngineIsReusedAcrossRefiners) {
-  const RoadNetwork net = make_grid(8, 8, 150.0);
-  const std::vector<FlowCluster> flows = make_flows(net, 40, 7);
-  ASSERT_GT(flows.size(), 1u);
-  auto shared = std::make_shared<const ChEngine>(net);
-  RefineConfig cfg;
-  cfg.epsilon = 600.0;
-  cfg.distance_engine = DistanceEngine::kCh;
-  Refiner with_shared(net, cfg);
-  with_shared.set_ch_engine(shared);
-  EXPECT_EQ(with_shared.ch_engine(), shared.get());
-  const Phase3Output a = with_shared.refine(flows);
-  const Phase3Output b = Refiner(net, cfg).refine(flows);  // lazily built engine
-  ASSERT_EQ(a.clusters.size(), b.clusters.size());
-  for (std::size_t i = 0; i < a.clusters.size(); ++i) {
-    EXPECT_EQ(a.clusters[i].flows, b.clusters[i].flows);
-  }
-  EXPECT_EQ(a.settled_nodes, b.settled_nodes);
 }
 
 }  // namespace

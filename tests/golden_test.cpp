@@ -40,8 +40,7 @@ std::string read_file(const std::string& path) {
 Config golden_config() {
   Config cfg;
   cfg.refine.epsilon = 400.0;
-  cfg.refine.use_landmarks = true;
-  cfg.refine.num_landmarks = 4;
+  cfg.refine.landmarks = 4;
   cfg.refine.threads = 2;
   cfg.flow.min_card = 1.0;
   return cfg;

@@ -1,7 +1,8 @@
 // Tests for the shared worker-pool helper (common/parallel_for.h): every
-// index is handed out exactly once at any thread count and chunk size,
-// worker exceptions surface on the calling thread only after every worker
-// has been joined, and one worker runs inline.
+// index is handed out exactly once at any thread count and chunk size, no
+// worker starts without a chunk to claim, worker exceptions surface on the
+// calling thread only after every worker has been joined, and one worker
+// runs inline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +27,7 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
         std::vector<std::atomic<int>> hits(n);
         std::atomic<unsigned> workers_run{0};
         parallel_for(n, threads, chunk, [&](unsigned worker, ChunkCursor& cursor) {
-          EXPECT_LT(worker, parallel_workers(n, threads));
+          EXPECT_LT(worker, parallel_workers(n, threads, chunk));
           workers_run.fetch_add(1);
           while (const std::optional<IndexRange> r = cursor.next()) {
             EXPECT_LT(r->begin, r->end);
@@ -34,7 +35,7 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
             for (std::size_t i = r->begin; i < r->end; ++i) hits[i].fetch_add(1);
           }
         });
-        EXPECT_EQ(workers_run.load(), parallel_workers(n, threads));
+        EXPECT_EQ(workers_run.load(), parallel_workers(n, threads, chunk));
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(hits[i].load(), 1)
               << "index " << i << " of " << n << " at " << threads << " threads, chunk "
@@ -46,11 +47,33 @@ TEST(ParallelFor, EveryIndexRunsExactlyOnce) {
 }
 
 TEST(ParallelFor, WorkerCountIsCappedByIndices) {
-  EXPECT_EQ(parallel_workers(0, 8), 1u);
-  EXPECT_EQ(parallel_workers(3, 0), 1u);
-  EXPECT_EQ(parallel_workers(3, 1), 1u);
-  EXPECT_EQ(parallel_workers(3, 8), 3u);
-  EXPECT_EQ(parallel_workers(1000, 8), 8u);
+  EXPECT_EQ(parallel_workers(0, 8, 1), 1u);
+  EXPECT_EQ(parallel_workers(3, 0, 1), 1u);
+  EXPECT_EQ(parallel_workers(3, 1, 1), 1u);
+  EXPECT_EQ(parallel_workers(3, 8, 1), 3u);
+  EXPECT_EQ(parallel_workers(3, 8, 0), 3u);  // chunk 0 counts as 1
+  EXPECT_EQ(parallel_workers(1000, 8, 1), 8u);
+}
+
+TEST(ParallelFor, WorkerCountIsCappedByChunks) {
+  EXPECT_EQ(parallel_workers(28, 4, 64), 1u);
+  EXPECT_EQ(parallel_workers(64, 4, 64), 1u);
+  EXPECT_EQ(parallel_workers(65, 4, 64), 2u);
+  EXPECT_EQ(parallel_workers(129, 4, 64), 3u);
+  EXPECT_EQ(parallel_workers(1000, 4, 64), 4u);
+  // Phase 3's shape on a small input: 28 candidate pairs are one chunk of
+  // 64, so 4 threads start no worker beyond the one that claims it, and
+  // that one runs inline.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<unsigned> workers_run{0};
+  std::size_t claimed = 0;
+  parallel_for(28, 4, 64, [&](unsigned, ChunkCursor& cursor) {
+    workers_run.fetch_add(1);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    while (const std::optional<IndexRange> r = cursor.next()) claimed += r->end - r->begin;
+  });
+  EXPECT_EQ(workers_run.load(), 1u);
+  EXPECT_EQ(claimed, 28u);
 }
 
 TEST(ParallelFor, EmptyRangeRunsNoWorker) {

@@ -1,18 +1,19 @@
 // Metamorphic tests for the Phase 3 acceleration layer: transformations that
 // must not change the clustering.
 //  * Thread count: Refiner at 1, 2 and 8 refine threads reproduces the
-//    serial run bit-for-bit (clusters AND instrumentation counters).
+//    serial run bit-for-bit (clusters AND every instrumentation counter,
+//    settled_nodes included).
 //  * Pruning: ELB and landmark pruning on/off in every combination leaves
 //    the merge decisions unchanged — only pairs_evaluated / sp_computations
 //    may shrink when a prune is active.
-//  * Distance engine: every rung of the ladder (Dijkstra with landmarks,
-//    i.e. ALT / CH / CH many-to-many table) yields identical clusters and
-//    identical engine-invariant pruning counters, at 1, 2 and 8 refine
-//    threads.
+//  * Distance ladder: both rungs (bounded Dijkstra, and ALT — the same
+//    Dijkstra steered by landmarks) yield identical clusters, and within a
+//    rung every counter is the same at 1, 2 and 8 refine threads.
 //  * Grid join: refine(), which finds its ELB candidates in a grid and
 //    merges over ε-neighbour lists, reproduces the dense pair matrix
-//    (fill_pair_distances + cluster_from_pair_distances) on grids whose
-//    junctions sit exactly ε apart, at negative coordinates and at extreme ε.
+//    (fill_pair_distances + cluster_from_pair_distances) and its every
+//    counter on grids whose junctions sit exactly ε apart, at negative
+//    coordinates and at extreme ε.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,6 +68,7 @@ void expect_identical(const Phase3Output& a, const Phase3Output& b,
   EXPECT_EQ(a.elb_pruned_pairs, b.elb_pruned_pairs) << what;
   EXPECT_EQ(a.lm_pruned_pairs, b.lm_pruned_pairs) << what;
   EXPECT_EQ(a.pairs_evaluated, b.pairs_evaluated) << what;
+  EXPECT_EQ(a.settled_nodes, b.settled_nodes) << what;
 }
 
 void expect_same_clusters(const Phase3Output& a, const Phase3Output& b,
@@ -84,7 +86,7 @@ TEST(ParallelRefinerMetamorphic, ThreadCountNeverChangesAnything) {
     for (const bool landmarks : {false, true}) {
       RefineConfig cfg;
       cfg.epsilon = 500.0;
-      cfg.use_landmarks = landmarks;
+      cfg.landmarks = landmarks ? 8 : 0;
       const Phase3Output serial = Refiner(w.net, cfg).refine(w.flows);
       for (const unsigned threads : {1u, 2u, 8u}) {
         RefineConfig pcfg = cfg;
@@ -118,7 +120,7 @@ TEST(PruningMetamorphic, PruningNeverChangesMergeDecisions) {
   RefineConfig none;
   none.epsilon = 500.0;
   none.use_elb = false;
-  none.use_landmarks = false;
+  none.landmarks = 0;
   const Phase3Output base = Refiner(w.net, none).refine(w.flows);
   EXPECT_EQ(base.elb_pruned_pairs, 0u);
   EXPECT_EQ(base.lm_pruned_pairs, 0u);
@@ -129,7 +131,7 @@ TEST(PruningMetamorphic, PruningNeverChangesMergeDecisions) {
     for (const bool lm : {false, true}) {
       RefineConfig cfg = none;
       cfg.use_elb = elb;
-      cfg.use_landmarks = lm;
+      cfg.landmarks = lm ? 8 : 0;
       const Phase3Output out = Refiner(w.net, cfg).refine(w.flows);
       expect_same_clusters(base, out, "prune combination");
       // Every pair is either pruned or evaluated; nothing is dropped.
@@ -162,7 +164,7 @@ TEST(PruningMetamorphic, LandmarkPruneStrictlyReducesDijkstraRunsAfterElb) {
   RefineConfig elb_only;
   elb_only.epsilon = 400.0;
   RefineConfig elb_lm = elb_only;
-  elb_lm.use_landmarks = true;
+  elb_lm.landmarks = 8;
   const Phase3Output a = Refiner(net, elb_only).refine(flows);
   const Phase3Output b = Refiner(net, elb_lm).refine(flows);
   expect_same_clusters(a, b, "ELB vs ELB+landmark");
@@ -182,64 +184,34 @@ TEST(PruningMetamorphic, BoundedSearchesMatchUnbounded) {
   expect_same_clusters(a, b, "bounded vs unbounded");
 }
 
-TEST(DistanceEngineMetamorphic, EngineAndThreadCountNeverChangeClusters) {
-  // The ladder contract across both axes at once: swapping the rung must
+TEST(DistanceLadderMetamorphic, RungAndThreadCountNeverChangeAnything) {
+  // The ladder contract across both axes at once: switching the rung must
   // never change the clustering, and within one rung the thread count must
-  // never change the counters either. The prune decisions (ELB, landmark)
-  // run before any engine touches a pair, and every rung issues one search
-  // per surviving leg, so at the same landmark setting the prune counters,
-  // pairs_evaluated and sp_computations are engine-invariant; settled_nodes
-  // is a work proxy and is only compared within a rung.
+  // never change any counter, settled_nodes included. The ELB decisions run
+  // before any search, so they are rung-invariant; the landmark prune only
+  // moves pairs from evaluated to pruned.
   const Workload w = make_workload(10, 10, 83, 89, 60);
   ASSERT_GT(w.flows.size(), 3u);
 
-  RefineConfig base;
-  base.epsilon = 500.0;
-  base.use_landmarks = true;
-  const Phase3Output reference = Refiner(w.net, base).refine(w.flows);
+  RefineConfig dijkstra;
+  dijkstra.epsilon = 500.0;
+  const Phase3Output reference = Refiner(w.net, dijkstra).refine(w.flows);
+  EXPECT_EQ(reference.lm_pruned_pairs, 0u);
 
-  struct Rung {
-    const char* name;
-    DistanceEngine engine;
-    bool landmarks;
-  };
-  for (const Rung& rung : {Rung{"dijkstra", DistanceEngine::kDijkstra, false},
-                           Rung{"alt", DistanceEngine::kDijkstra, true},
-                           Rung{"ch", DistanceEngine::kCh, true}}) {
-    RefineConfig cfg = base;
-    cfg.distance_engine = rung.engine;
-    cfg.use_landmarks = rung.landmarks;
+  for (const int landmarks : {0, 8}) {  // the Dijkstra and ALT rungs
+    RefineConfig cfg = dijkstra;
+    cfg.landmarks = landmarks;
     const Phase3Output serial = Refiner(w.net, cfg).refine(w.flows);
-    const char* what = rung.name;
-    expect_same_clusters(reference, serial, what);
+    const std::string what = str_cat("landmarks=", landmarks);
+    expect_same_clusters(reference, serial, what.c_str());
     EXPECT_EQ(serial.elb_pruned_pairs, reference.elb_pruned_pairs) << what;
-    if (rung.landmarks) {
-      EXPECT_EQ(serial.lm_pruned_pairs, reference.lm_pruned_pairs) << what;
-      EXPECT_EQ(serial.pairs_evaluated, reference.pairs_evaluated) << what;
-      EXPECT_EQ(serial.sp_computations, reference.sp_computations) << what;
-    } else {
-      EXPECT_EQ(serial.lm_pruned_pairs, 0u) << what;
-      EXPECT_EQ(serial.pairs_evaluated, reference.pairs_evaluated + reference.lm_pruned_pairs)
-          << what;
-    }
-
+    EXPECT_EQ(serial.pairs_evaluated + serial.lm_pruned_pairs, reference.pairs_evaluated)
+        << what;
+    EXPECT_LE(serial.sp_computations, reference.sp_computations) << what;
     for (const unsigned threads : {1u, 2u, 8u}) {
       RefineConfig pcfg = cfg;
       pcfg.threads = threads;
-      const Phase3Output parallel = Refiner(w.net, pcfg).refine(w.flows);
-      expect_same_clusters(serial, parallel, what);
-      EXPECT_EQ(parallel.sp_computations, serial.sp_computations) << what;
-      EXPECT_EQ(parallel.elb_pruned_pairs, serial.elb_pruned_pairs) << what;
-      EXPECT_EQ(parallel.lm_pruned_pairs, serial.lm_pruned_pairs) << what;
-      EXPECT_EQ(parallel.pairs_evaluated, serial.pairs_evaluated) << what;
-      // settled_nodes depends on which worker's memoized label cache each
-      // chunk lands in under CH; it is thread-invariant only for the
-      // per-pair-independent Dijkstra searches.
-      if (rung.engine == DistanceEngine::kDijkstra) {
-        EXPECT_EQ(parallel.settled_nodes, serial.settled_nodes) << what;
-      } else {
-        EXPECT_GT(parallel.settled_nodes, 0u) << what;
-      }
+      expect_identical(serial, Refiner(w.net, pcfg).refine(w.flows), what.c_str());
     }
   }
 }
@@ -254,7 +226,7 @@ TEST(ClustererWiring, RefineThreadsProduceIdenticalResults) {
   const traj::TrajectoryDataset data = sim::MobilitySimulator(net, scfg).generate(50, 37);
 
   Config serial;
-  serial.refine.use_landmarks = true;
+  serial.refine.landmarks = 8;
   Config threaded = serial;
   threaded.refine.threads = 8;
   const Result a = NeatClusterer(net, serial).run(data);
@@ -331,15 +303,13 @@ Workload make_grid_flows(int rows, int cols, double spacing, Point origin,
 }
 
 // refine() against the dense reference evaluator: the same clusters and every
-// counter except settled_nodes, at 1, 2 and 8 threads; elb_pruned_pairs also
-// against a brute-force count of the ELB key, which is returned.
+// counter, at 1, 2 and 8 threads; elb_pruned_pairs also against a
+// brute-force count of the ELB key, which is returned.
 std::size_t expect_refine_matches_dense(const Workload& w, const RefineConfig& cfg,
-                                        const std::shared_ptr<const roadnet::ChEngine>& ch,
                                         const std::shared_ptr<const roadnet::LandmarkOracle>& lm,
                                         const std::string& what) {
   const auto make_refiner = [&](const RefineConfig& c) {
     auto r = std::make_unique<Refiner>(w.net, c);
-    r->set_ch_engine(ch);
     r->set_landmarks(lm);
     return r;
   };
@@ -379,6 +349,7 @@ std::size_t expect_refine_matches_dense(const Workload& w, const RefineConfig& c
     EXPECT_EQ(out.lm_pruned_pairs, dense_counters.lm_pruned_pairs) << at;
     EXPECT_EQ(out.pairs_evaluated, dense_counters.pairs_evaluated) << at;
     EXPECT_EQ(out.sp_computations, dense_counters.sp_computations) << at;
+    EXPECT_EQ(out.settled_nodes, dense_counters.settled_nodes) << at;
   }
   return elb_pruned;
 }
@@ -412,32 +383,27 @@ TEST(GridJoinOracle, RefineMatchesTheDensePairMatrix) {
   for (const Case& c : cases) {
     ASSERT_GT(c.w.flows.size(), 3u) << c.name;
     const std::size_t all_pairs = c.w.flows.size() * (c.w.flows.size() - 1) / 2;
-    const auto ch = std::make_shared<const roadnet::ChEngine>(c.w.net);
     const auto lm = std::make_shared<const roadnet::LandmarkOracle>(c.w.net, 8);
     for (const FlowDistanceMode mode :
          {FlowDistanceMode::kEndpoints, FlowDistanceMode::kFullRoute}) {
       for (const bool elb : {true, false}) {
         for (const bool landmarks : {false, true}) {
           for (const int min_pts : {1, 3}) {
-            for (const DistanceEngine engine : {DistanceEngine::kDijkstra, DistanceEngine::kCh}) {
-              RefineConfig cfg;
-              cfg.epsilon = c.epsilon;
-              cfg.distance_mode = mode;
-              cfg.use_elb = elb;
-              cfg.use_landmarks = landmarks;
-              cfg.min_pts = min_pts;
-              cfg.distance_engine = engine;
-              const std::string what =
-                  str_cat(c.name, mode == FlowDistanceMode::kEndpoints ? " endpoints" : " route",
-                          " elb=", elb, " lm=", landmarks, " min_pts=", min_pts,
-                          " engine=", static_cast<int>(engine));
-              const std::size_t pruned = expect_refine_matches_dense(c.w, cfg, ch, lm, what);
-              if (elb && c.candidates == Candidates::kNone) {
-                EXPECT_EQ(pruned, all_pairs) << what;
-              }
-              if (elb && c.candidates == Candidates::kAll) {
-                EXPECT_EQ(pruned, 0u) << what;
-              }
+            RefineConfig cfg;
+            cfg.epsilon = c.epsilon;
+            cfg.distance_mode = mode;
+            cfg.use_elb = elb;
+            cfg.landmarks = landmarks ? 8 : 0;
+            cfg.min_pts = min_pts;
+            const std::string what =
+                str_cat(c.name, mode == FlowDistanceMode::kEndpoints ? " endpoints" : " route",
+                        " elb=", elb, " lm=", landmarks, " min_pts=", min_pts);
+            const std::size_t pruned = expect_refine_matches_dense(c.w, cfg, lm, what);
+            if (elb && c.candidates == Candidates::kNone) {
+              EXPECT_EQ(pruned, all_pairs) << what;
+            }
+            if (elb && c.candidates == Candidates::kAll) {
+              EXPECT_EQ(pruned, 0u) << what;
             }
           }
         }
